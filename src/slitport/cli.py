@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import protocol, script
 from .fockspace import ImpossibleOutcomeError
 from .gates import tail_bound_dim
-from .numformat import fmt_real, parse_complex
+from .numformat import fmt_real, parse_complex, parse_real
 from .protocol import ProtocolError, RunReport, canonical_json, run_protocol
 from .scenario import REFERENCE_SCRIPT
 from .script import ScriptError
@@ -36,7 +35,10 @@ def _angle(text: str) -> float:
 
 
 def _complex_flag(text: str) -> complex:
-    return parse_complex(text)
+    try:
+        return parse_complex(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -198,15 +200,14 @@ def _sweep_one(param: str, value: float, args: argparse.Namespace) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        print(f"could not parse --values {args.values!r} as numbers", file=sys.stderr)
+        values = [parse_real(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        print(f"could not parse --values {args.values!r}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if not values:
         print("--values is empty", file=sys.stderr)
         return EXIT_INPUT
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
-        entries = list(pool.map(lambda v: _sweep_one(args.param, v, args), values))
+    entries = [_sweep_one(args.param, v, args) for v in values]
     impossible = any(e.pop("impossible", False) for e in entries)
     document = {"param": args.param, "runs": entries}
     payload = canonical_json(document)

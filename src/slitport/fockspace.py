@@ -106,7 +106,6 @@ class CompositeState:
 
     registers: tuple[Register, ...]
     amplitudes: np.ndarray
-    norm_tolerance: float = VECTOR_NORM_TOLERANCE
 
     def __post_init__(self):
         names = [r.name for r in self.registers]
@@ -220,23 +219,37 @@ def make_state(registers, assignment) -> CompositeState:
 
     amps = np.ones(1, dtype=complex)
     for reg in registers:
-        value = assignment[reg.name]
-        if isinstance(value, str):
-            vec = np.zeros(reg.dim, dtype=complex)
-            vec[reg.index(value)] = 1.0
-        else:
-            vec = np.asarray(value, dtype=complex).reshape(-1)
-            if vec.size != reg.dim:
-                raise RegisterError(
-                    f"register {reg.name}: vector length {vec.size} != dim {reg.dim}"
-                )
-            if abs(np.linalg.norm(vec) - 1.0) > VECTOR_NORM_TOLERANCE:
-                raise RegisterError(
-                    f"register {reg.name}: assignment vector is not normalized "
-                    f"(norm {np.linalg.norm(vec):.12f})"
-                )
-        amps = np.kron(amps, vec)
+        amps = np.kron(amps, _unit_column(reg, assignment[reg.name]))
     return CompositeState(registers, amps)
+
+
+def basis_column(register: Register, value) -> np.ndarray:
+    """A register's column for a basis label or an amplitude vector.
+
+    Only the length is checked: closed-form targets may use unnormalized
+    vectors on purpose.
+    """
+    if isinstance(value, str):
+        column = np.zeros(register.dim, dtype=complex)
+        column[register.index(value)] = 1.0
+        return column
+    column = np.asarray(value, dtype=complex).reshape(-1)
+    if column.size != register.dim:
+        raise RegisterError(
+            f"register {register.name}: vector length {column.size} != dim {register.dim}"
+        )
+    return column
+
+
+def _unit_column(register: Register, value) -> np.ndarray:
+    """basis_column, additionally requiring a normalized vector."""
+    column = basis_column(register, value)
+    norm = np.linalg.norm(column)
+    if abs(norm - 1.0) > VECTOR_NORM_TOLERANCE:
+        raise RegisterError(
+            f"register {register.name}: assignment vector is not normalized (norm {norm:.12f})"
+        )
+    return column
 
 
 def apply_op(state: CompositeState, op: OperatorMatrix) -> CompositeState:
@@ -255,7 +268,7 @@ def apply_op(state: CompositeState, op: OperatorMatrix) -> CompositeState:
     out_shape = [state.registers[i].dim for i in perm]
     inverse = np.argsort(perm)
     amps = tens.reshape(out_shape).transpose(inverse).reshape(-1)
-    return CompositeState(state.registers, amps, state.norm_tolerance)
+    return CompositeState(state.registers, amps)
 
 
 def label_probabilities(state: CompositeState, register: str) -> np.ndarray:
@@ -291,7 +304,7 @@ def project(state: CompositeState, register: str, label: str) -> tuple[Composite
     index = [slice(None)] * tens.ndim
     index[axis] = idx
     collapsed[tuple(index)] = branch / np.sqrt(probability)
-    return CompositeState(state.registers, collapsed.reshape(-1), state.norm_tolerance), probability
+    return CompositeState(state.registers, collapsed.reshape(-1)), probability
 
 
 def drop_register(state: CompositeState, register: str) -> CompositeState:
@@ -312,26 +325,14 @@ def drop_register(state: CompositeState, register: str) -> CompositeState:
         )
     sliced = np.take(tens, int(support[0]), axis=axis)
     remaining = tuple(r for i, r in enumerate(state.registers) if i != axis)
-    return CompositeState(remaining, sliced.reshape(-1), state.norm_tolerance)
+    return CompositeState(remaining, sliced.reshape(-1))
 
 
 def extend(state: CompositeState, register: Register, value) -> CompositeState:
     """Tensor a fresh register (label or normalized vector) onto the state."""
     # appended register varies fastest, so a plain kron keeps the layout
-    if isinstance(value, str):
-        vec = np.zeros(register.dim, dtype=complex)
-        vec[register.index(value)] = 1.0
-    else:
-        vec = np.asarray(value, dtype=complex).reshape(-1)
-        if vec.size != register.dim:
-            raise RegisterError(
-                f"register {register.name}: vector length {vec.size} != dim {register.dim}"
-            )
-        if abs(np.linalg.norm(vec) - 1.0) > VECTOR_NORM_TOLERANCE:
-            raise RegisterError(f"register {register.name}: assignment vector is not normalized")
-    return CompositeState(
-        state.registers + (register,), np.kron(state.amplitudes, vec), state.norm_tolerance
-    )
+    vec = _unit_column(register, value)
+    return CompositeState(state.registers + (register,), np.kron(state.amplitudes, vec))
 
 
 def rebase_register(
@@ -355,7 +356,7 @@ def rebase_register(
     tens = np.moveaxis(tens, 0, axis)
     registers = list(state.registers)
     registers[axis] = new_register
-    return CompositeState(tuple(registers), tens.reshape(-1), state.norm_tolerance)
+    return CompositeState(tuple(registers), tens.reshape(-1))
 
 
 def reorder(state: CompositeState, names) -> CompositeState:
@@ -365,9 +366,7 @@ def reorder(state: CompositeState, names) -> CompositeState:
         raise RegisterError(f"cannot reorder {state.names} as {names}")
     perm = [state.axis(n) for n in names]
     tens = state.tensor().transpose(perm)
-    return CompositeState(
-        tuple(state.registers[i] for i in perm), tens.reshape(-1), state.norm_tolerance
-    )
+    return CompositeState(tuple(state.registers[i] for i in perm), tens.reshape(-1))
 
 
 def embed_controlled(
@@ -419,3 +418,64 @@ def reduced_fidelity(state: CompositeState, subset, target: CompositeState) -> f
     tens = state.tensor().transpose(axes + rest).reshape(sub_dim, -1)
     overlaps = target.amplitudes.conj() @ tens
     return min(1.0, float(np.sum(np.abs(overlaps) ** 2)))
+
+
+def product_fidelity(state: CompositeState, registers, terms) -> float:
+    """<t|rho|t> / <t|t> for a target t given as a sum of product terms.
+
+    ``terms`` holds ``(coeff, {register name: label or vector})`` pairs
+    over ``registers``, and rho is the state reduced to those registers.
+    This is reduced_fidelity (fidelity, when every live register is
+    named) against the normalized sum of the terms, but no vector of the
+    state's size is built: a label indexes the state tensor, a vector is
+    contracted with tensordot, and the target's norm comes from the Gram
+    matrix of the terms' per-register inner products.
+    """
+    registers = tuple(registers)
+    names = [r.name for r in registers]
+    if not registers:
+        raise RegisterError("product_fidelity needs a nonempty register list")
+    if len(set(names)) != len(names):
+        raise RegisterError(f"duplicate register name in {names}")
+    missing = sorted(set(names) - set(state.names))
+    if missing:
+        raise RegisterError(f"target expects registers {missing} that are not live")
+    axes = [state.axis(n) for n in names]
+    for reg, axis in zip(registers, axes):
+        if state.registers[axis].labels != reg.labels:
+            raise RegisterError(f"register {reg.name}: basis labels differ between state and target")
+    terms = [(complex(coeff), parts) for coeff, parts in terms if coeff != 0]
+    for _, parts in terms:
+        if set(parts) != set(names):
+            raise RegisterError(f"term assigns {sorted(parts)}, target registers are {sorted(names)}")
+
+    coeffs = np.array([coeff for coeff, _ in terms], dtype=complex)
+    gram = np.ones((len(terms), len(terms)), dtype=complex)
+    for reg in registers:
+        columns = np.array([basis_column(reg, parts[reg.name]) for _, parts in terms])
+        gram *= columns.conj() @ columns.T
+    norm2 = float(np.real(coeffs.conj() @ gram @ coeffs))
+    # below one rounding unit of the terms' own weight the sum has cancelled
+    scale = float(np.real(np.abs(coeffs) ** 2 @ np.diag(gram)))
+    if norm2 <= np.finfo(float).eps * scale:
+        raise RegisterError("target state is the zero vector")
+
+    tens = state.tensor()
+    overlap = 0.0
+    for coeff, parts in terms:
+        index: list = [slice(None)] * tens.ndim
+        vectors = []
+        for reg, axis in zip(registers, axes):
+            value = parts[reg.name]
+            if isinstance(value, str):
+                index[axis] = reg.index(value)
+            else:
+                vectors.append((axis, basis_column(reg, value)))
+        part = tens[tuple(index)]
+        # integer indices drop their axes; contracting from the last axis
+        # back keeps the earlier positions valid
+        for axis, column in sorted(vectors, key=lambda v: v[0], reverse=True):
+            pos = axis - sum(isinstance(i, int) for i in index[:axis])
+            part = np.tensordot(column.conj(), part, axes=([0], [pos]))
+        overlap = overlap + coeff.conjugate() * part
+    return min(1.0, float(np.sum(np.abs(overlap) ** 2)) / norm2)

@@ -2,10 +2,12 @@
 
 Reals are rendered with 17 significant digits so output is byte-stable
 and round-trips exactly.  Complex literals use the compact "re+imi" form
-(e.g. ``0.5-0.5i``, ``2i``, ``1.25``).
+(e.g. ``0.5-0.5i``, ``2i``, ``1.25``).  Parsing rejects inf and nan.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def fmt_real(x: float) -> str:
@@ -25,9 +27,17 @@ def fmt_complex(z: complex) -> str:
 
 def _parse_float(text: str, token: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {token!r}")
+    return value
+
+
+def parse_real(token: str) -> float:
+    """Parse a finite real literal such as "0.5" or "-1e-3"."""
+    return _parse_float(token.strip(), token)
 
 
 def parse_complex(token: str) -> complex:

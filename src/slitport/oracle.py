@@ -12,10 +12,11 @@ lambda atoms A1..A4, probe atoms A51/A52.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .fockspace import CompositeState, Register
+from .fockspace import CompositeState, Register, basis_column
 from .gates import cat_state, coherent_amplitudes
 
 CHECKPOINTS = (
@@ -43,20 +44,13 @@ SLITS = ("sl1", "sl2")
 
 def _assemble(registers, terms) -> CompositeState:
     """Sum of product terms (coeff, {register: label or vector}), normalized."""
-    registers = tuple(registers)
     total = np.zeros(int(np.prod([r.dim for r in registers])), dtype=complex)
     for coeff, parts in terms:
         if coeff == 0:
             continue
         vec = np.ones(1, dtype=complex)
         for reg in registers:
-            value = parts[reg.name]
-            if isinstance(value, str):
-                column = np.zeros(reg.dim, dtype=complex)
-                column[reg.index(value)] = 1.0
-            else:
-                column = np.asarray(value, dtype=complex)
-            vec = np.kron(vec, column)
+            vec = np.kron(vec, basis_column(reg, parts[reg.name]))
         total += coeff * vec
     norm = np.linalg.norm(total)
     if norm == 0:
@@ -65,10 +59,12 @@ def _assemble(registers, terms) -> CompositeState:
 
 
 class _Parts:
-    """Shared ingredients for one (alpha, truncation, gt) parameter set."""
+    """Shared ingredients for one (alpha, truncation, gt) parameter set.
+
+    Instances are cached and shared, so every array is read-only.
+    """
 
     def __init__(self, alpha: complex, truncation: int, gt: float):
-        self.n = truncation
         self.coh = coherent_amplitudes(alpha, truncation)
         self.even = cat_state(alpha, +1, truncation)
         self.odd = cat_state(alpha, -1, truncation)
@@ -80,6 +76,7 @@ class _Parts:
         big = coherent_amplitudes(2 * alpha, truncation)
         vac = np.zeros(truncation, dtype=complex)
         vac[0] = 1.0
+        self.big = big
         self.disp_plus = (big + vac) / np.linalg.norm(big + vac)
         self.disp_minus = (big - vac) / np.linalg.norm(big - vac)
         # exact probe branches after the resonant pass over |2a>
@@ -89,6 +86,12 @@ class _Parts:
         chi_e[:-1] = -1j * big[1:] * np.sin(gt * np.sqrt(levels[1:]))
         self.chi_e = chi_e
         self.vac = vac
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+_parts = lru_cache(maxsize=16)(_Parts)
 
 
 def _registers(names_kinds, truncation: int):
@@ -110,10 +113,22 @@ def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float
 
     Register names and ordering match the engine's live register list at
     that stage of the run; FINAL covers the output path register alone.
+    This is the dense form of checkpoint_terms, assembled with np.kron.
+    """
+    return _assemble(*checkpoint_terms(
+        checkpoint, cb=cb, cc=cc, alpha=alpha, truncation=truncation, gt=gt
+    ))
+
+
+def checkpoint_terms(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float):
+    """The closed form at one checkpoint as ``(registers, terms)``, unnormalized.
+
+    Each term is ``(coeff, {register name: label or vector})``; the state
+    is the normalized sum of the terms' tensor products.
     """
     if checkpoint not in CHECKPOINTS:
         raise ValueError(f"unknown checkpoint {checkpoint!r}")
-    p = _Parts(alpha, truncation, gt)
+    p = _parts(alpha, truncation, gt)
     coh, even, odd = p.coh, p.even, p.odd
     wp, wm = p.w_plus, p.w_minus
     r = 1.0 / math.sqrt(2.0)
@@ -122,22 +137,22 @@ def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float
         regs = _registers(
             [("C1", "mode"), ("C2", "mode"), ("A1", "lambda3"), ("A1_path", "path")], truncation
         )
-        return _assemble(regs, [
+        return regs, [
             (r, {"C1": coh, "C2": coh, "A1": "b", "A1_path": "sl1"}),
             (r, {"C1": coh, "C2": coh, "A1": "b", "A1_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint == "A1_after_cavities":
         regs = _registers(
             [("C1", "mode"), ("C2", "mode"), ("A1", "lambda3"), ("A1_path", "path")], truncation
         )
         q = 1.0 / (2.0 * math.sqrt(2.0))
-        return _assemble(regs, [
+        return regs, [
             (q * wp, {"C1": even, "C2": coh, "A1": "b", "A1_path": "sl1"}),
             (-q * wm, {"C1": odd, "C2": coh, "A1": "c", "A1_path": "sl1"}),
             (q * wp, {"C1": coh, "C2": even, "A1": "b", "A1_path": "sl2"}),
             (-q * wm, {"C1": coh, "C2": odd, "A1": "c", "A1_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint == "A12_after_cavities":
         regs = _registers(
@@ -164,16 +179,16 @@ def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float
                         {c_a1: cat1, c_a2: cat2, "A1": a1_state, "A1_path": a1_slit,
                          "A2": a2_state, "A2_path": a2_slit},
                     ))
-        return _assemble(regs, terms)
+        return regs, terms
 
     if checkpoint == "A12_post_c1b2":
         regs = _registers(
             [("C1", "mode"), ("C2", "mode"), ("A1_path", "path"), ("A2_path", "path")], truncation
         )
-        return _assemble(regs, [
+        return regs, [
             (r, {"C1": even, "C2": odd, "A1_path": "sl2", "A2_path": "sl1"}),
             (r, {"C1": odd, "C2": even, "A1_path": "sl1", "A2_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint == "A123_after_cavities":
         regs = _registers(
@@ -184,7 +199,7 @@ def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float
         # entangled pair branch shared by A12_post_c1b2, tagged E (C1 even) / O (C1 odd)
         branch_e = {"C1": even, "C2": odd, "A1_path": "sl2", "A2_path": "sl1"}
         branch_o = {"C1": odd, "C2": even, "A1_path": "sl1", "A2_path": "sl2"}
-        return _assemble(regs, [
+        return regs, [
             (half * cb, branch_e | {"A3": "b", "A3_path": "sl1"}),
             (-half * cc, branch_e | {"A3": "c", "A3_path": "sl1"}),
             (-half * cb, branch_o | {"A3": "c", "A3_path": "sl1"}),
@@ -193,7 +208,7 @@ def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float
             (half * cc, branch_e | {"A3": "b", "A3_path": "sl2"}),
             (half * cb, branch_o | {"A3": "b", "A3_path": "sl2"}),
             (-half * cc, branch_o | {"A3": "c", "A3_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint == "A123_post_b3":
         regs = _registers(
@@ -202,73 +217,72 @@ def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float
         )
         branch_e = {"C1": even, "C2": odd, "A1_path": "sl2", "A2_path": "sl1"}
         branch_o = {"C1": odd, "C2": even, "A1_path": "sl1", "A2_path": "sl2"}
-        return _assemble(regs, [
+        return regs, [
             (r * cb, branch_e | {"A3_path": "sl1"}),
             (r * cc, branch_o | {"A3_path": "sl1"}),
             (r * cc, branch_e | {"A3_path": "sl2"}),
             (r * cb, branch_o | {"A3_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint in ("A123_post_zeta31", "A12_pre_SC3"):
         regs = _registers(
             [("C1", "mode"), ("C2", "mode"), ("A1_path", "path"), ("A2_path", "path")], truncation
         )
-        return _assemble(regs, [
+        return regs, [
             (cb, {"C1": even, "C2": odd, "A1_path": "sl2", "A2_path": "sl1"}),
             (cc, {"C1": odd, "C2": even, "A1_path": "sl1", "A2_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint in ("A2_post_gamma1", "TELEPST1"):
         regs = _registers([("C1", "mode"), ("C2", "mode"), ("A2_path", "path")], truncation)
-        return _assemble(regs, [
+        return regs, [
             (cb, {"C1": even, "C2": odd, "A2_path": "sl1"}),
             (cc, {"C1": odd, "C2": even, "A2_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint == "A24_after_cavities":
         regs = _registers(
             [("C1", "mode"), ("C2", "mode"), ("A2_path", "path"), ("A4", "lambda3"),
              ("A4_path", "path")], truncation
         )
-        return _assemble(regs, [
+        return regs, [
             (r * cb, {"C1": even, "C2": odd, "A2_path": "sl1", "A4": "b", "A4_path": "sl1"}),
             (-r * cc, {"C1": odd, "C2": even, "A2_path": "sl2", "A4": "c", "A4_path": "sl1"}),
             (-r * cb, {"C1": even, "C2": odd, "A2_path": "sl1", "A4": "c", "A4_path": "sl2"}),
             (r * cc, {"C1": odd, "C2": even, "A2_path": "sl2", "A4": "b", "A4_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint == "A24_post_rho1":
         regs = _registers(
             [("C1", "mode"), ("C2", "mode"), ("A4", "lambda3"), ("A4_path", "path")], truncation
         )
-        return _assemble(regs, [
+        return regs, [
             (r * cb, {"C1": even, "C2": odd, "A4": "b", "A4_path": "sl1"}),
             (-r * cc, {"C1": odd, "C2": even, "A4": "c", "A4_path": "sl1"}),
             (-r * cb, {"C1": even, "C2": odd, "A4": "c", "A4_path": "sl2"}),
             (r * cc, {"C1": odd, "C2": even, "A4": "b", "A4_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint in ("A24_post_b4", "TELEPST2"):
         regs = _registers([("C1", "mode"), ("C2", "mode"), ("A4_path", "path")], truncation)
-        return _assemble(regs, [
+        return regs, [
             (cb, {"C1": even, "C2": odd, "A4_path": "sl1"}),
             (cc, {"C1": odd, "C2": even, "A4_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint == "POST_INJECTION":
         regs = _registers([("C1", "mode"), ("C2", "mode"), ("A4_path", "path")], truncation)
-        return _assemble(regs, [
+        return regs, [
             (cb, {"C1": p.disp_plus, "C2": p.disp_minus, "A4_path": "sl1"}),
             (cc, {"C1": p.disp_minus, "C2": p.disp_plus, "A4_path": "sl2"}),
-        ])
+        ]
 
     if checkpoint == "POST_JC":
         regs = _registers(
             [("C1", "mode"), ("C2", "mode"), ("A4_path", "path"), ("A51", "qubit2"),
              ("A52", "qubit2")], truncation
         )
-        big = coherent_amplitudes(2 * alpha, truncation)
-        overlap = float(np.real(big[0]))
+        overlap = float(np.real(p.big[0]))
         m_plus = math.sqrt(2.0 * (1.0 + overlap))
         m_minus = math.sqrt(2.0 * (1.0 - overlap))
         f_plus = p.chi_f + p.vac
@@ -284,11 +298,11 @@ def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float
                         scale,
                         {"C1": vec1, "C2": vec2, "A4_path": slit, "A51": s1, "A52": s2},
                     ))
-        return _assemble(regs, terms)
+        return regs, terms
 
     # FINAL: the teleported path state alone
     regs = _registers([("A4_path", "path")], truncation)
-    return _assemble(regs, [(cb, {"A4_path": "sl1"}), (cc, {"A4_path": "sl2"})])
+    return regs, [(cb, {"A4_path": "sl1"}), (cc, {"A4_path": "sl2"})]
 
 
 def jc_excited_probability(mean_n: float, gt: float, truncation: int) -> float:

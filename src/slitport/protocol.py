@@ -11,6 +11,7 @@ path state.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -28,12 +29,13 @@ from .fockspace import (
     drop_register,
     embed_controlled,
     extend,
-    fidelity,
+    fidelity,  # noqa: F401  (perfbench patches it by this module's name)
     label_probabilities,
+    product_fidelity,
     project,
     rebase_register,
     reduced_fidelity,
-    reorder,
+    reorder,  # noqa: F401  (perfbench patches it by this module's name)
 )
 from .gates import (
     coherent_amplitudes,
@@ -239,6 +241,10 @@ class RunInputs:
     gt: float = DEFAULT_GT
 
     def __post_init__(self):
+        for name in ("cb", "cc", "alpha", "gt"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         deviation = abs(abs(self.cb) ** 2 + abs(self.cc) ** 2 - 1.0)
         if deviation > 1e-9:
             raise ValueError(
@@ -539,7 +545,7 @@ class _Runner:
                                        outcome=label, probability=probability))
 
     def _checkpoint(self, ins: Checkpoint) -> None:
-        expected = oracle.expected_state(
+        registers, terms = oracle.checkpoint_terms(
             ins.name,
             cb=self.inputs.cb,
             cc=self.inputs.cc,
@@ -547,17 +553,7 @@ class _Runner:
             truncation=self.inputs.truncation,
             gt=self.inputs.gt,
         )
-        have = set(self.state.names)
-        want = set(expected.names)
-        if want == have:
-            value = fidelity(reorder(self.state, expected.names), expected)
-        elif want < have:
-            value = reduced_fidelity(self.state, expected.names, expected)
-        else:
-            raise RegisterError(
-                f"checkpoint {ins.name} expects registers {sorted(want - have)} "
-                "that are not live"
-            )
+        value = product_fidelity(self.state, registers, terms)
         self.records.append(StepRecord(ins.text or f"checkpoint {ins.name}", "checkpoint",
                                        outcome=ins.name, checkpoint_fidelity=value))
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from slitport.cli import main
 from slitport.scenario import REFERENCE_SCRIPT
 
@@ -126,3 +128,25 @@ def test_sweep_cb_out_of_range(capsys):
     assert main(["sweep", "--param", "cb", "--values", "1.5"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert "no matching cc" in doc["runs"][0]["error"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+def test_paper_rejects_non_finite_alpha(capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["paper", "--alpha", value])
+    assert exit_.value.code == 2
+    assert f"not a finite number: {value!r}" in capsys.readouterr().err
+
+
+def test_script_rejects_non_finite_literal(capsys, tmp_path):
+    script = tmp_path / "inf.qprot"
+    script.write_text(SCENARIO.read_text().replace("config alpha 2", "config alpha inf"))
+    assert main(["run", str(script)]) == 2
+    assert "not a finite number: 'inf'" in capsys.readouterr().err
+
+
+def test_sweep_rejects_non_finite_value(capsys):
+    assert main(["sweep", "--param", "cb", "--values=0.5,nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a finite number: 'nan'" in captured.err

@@ -10,12 +10,14 @@ from slitport.fockspace import (
     Register,
     RegisterError,
     apply_op,
+    basis_column,
     drop_register,
     embed_controlled,
     extend,
     fidelity,
     label_probabilities,
     make_state,
+    product_fidelity,
     project,
     rebase_register,
     reduced_fidelity,
@@ -236,6 +238,43 @@ def test_reduced_fidelity_errors():
         reduced_fidelity(state, ("p",), bad_target)
     with pytest.raises(RegisterError):
         reduced_fidelity(state, (), bad_target)
+
+
+def test_basis_column_checks_length_only():
+    reg = Register.lambda3("A1")
+    assert np.array_equal(basis_column(reg, "c"), [0, 0, 1])
+    assert np.array_equal(basis_column(reg, (2, 0, 0)), [2, 0, 0])  # unnormalized is kept
+    with pytest.raises(RegisterError, match="vector length"):
+        basis_column(reg, (1, 0))
+    with pytest.raises(RegisterError):
+        basis_column(reg, "q")
+
+
+def test_product_fidelity_missing_register():
+    state = make_state([Register.lambda3("A1")], {"A1": "a"})
+    regs = (Register.lambda3("A1"), Register.lambda3("A2"))
+    with pytest.raises(RegisterError, match=r"expects registers \['A2'\] that are not live"):
+        product_fidelity(state, regs, [(1.0, {"A1": "a", "A2": "a"})])
+
+
+def test_product_fidelity_labels_differ():
+    regs = [Register.path("p", ("u", "v")), Register.lambda3("A1")]
+    state = make_state(regs, {"p": "u", "A1": "c"})
+    other = Register.path("p", ("x", "y"))
+    with pytest.raises(RegisterError, match="labels differ"):
+        product_fidelity(state, (other,), [(1.0, {"p": "x"})])
+
+
+@pytest.mark.parametrize("terms", [
+    [],
+    [(0.0, {"A1": "a"})],
+    [(0.5, {"A1": "b"}), (-0.5, {"A1": "b"})],
+    [(1.0, {"A1": (0.6, 0.8, 0.0)}), (-2.0, {"A1": (0.3, 0.4, 0.0)})],
+])
+def test_product_fidelity_zero_target(terms):
+    state = make_state([Register.lambda3("A1")], {"A1": "a"})
+    with pytest.raises(RegisterError, match="zero vector"):
+        product_fidelity(state, (Register.lambda3("A1"),), terms)
 
 
 def test_reorder_preserves_physics():

@@ -2,10 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slitport.fockspace import CompositeState, Register, fidelity, make_state
-from slitport.gates import cat_state, coherent_amplitudes
-from slitport.oracle import CHECKPOINTS, expected_state, jc_excited_probability
+from slitport import protocol
+from slitport.fockspace import (
+    CompositeState,
+    Register,
+    fidelity,
+    make_state,
+    product_fidelity,
+    reduced_fidelity,
+    reorder,
+)
+from slitport.gates import cat_state, coherent_amplitudes, tail_bound_dim
+from slitport.oracle import CHECKPOINTS, checkpoint_terms, expected_state, jc_excited_probability
+from slitport.scenario import REFERENCE_SCRIPT
+from slitport.script import parse, resolve
 
 RNG = np.random.default_rng(91)
 
@@ -109,3 +122,58 @@ def test_jc_excited_probability_needs_room():
 
     with pytest.raises(TruncationError):
         jc_excited_probability(16.0, 0.3, 8)
+
+
+def _stage_states(params):
+    """(checkpoint name, live engine state) at each checkpoint of the reference run."""
+    run = resolve(parse(REFERENCE_SCRIPT), params)
+    runner = protocol._Runner(run.layout, run.inputs, sample=False, seed=None)
+    for ins in run.instructions:
+        if isinstance(ins, protocol.Checkpoint):
+            yield ins.name, runner.state
+        else:
+            runner.execute(ins)
+
+
+def _dense_fidelity(state, expected):
+    if set(state.names) == set(expected.names):
+        return fidelity(reorder(state, expected.names), expected)
+    return reduced_fidelity(state, expected.names, expected)
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    z=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda z: sum(x * x for x in z) > 1e-2),
+    alpha=st.floats(1.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contracted_checkpoint_fidelity_matches_dense(z, alpha, seed):
+    norm = math.sqrt(sum(x * x for x in z))
+    params = DEFAULTS | {
+        "cb": complex(z[0], z[1]) / norm,
+        "cc": complex(z[2], z[3]) / norm,
+        "alpha": complex(alpha),
+        "truncation": max(64, tail_bound_dim(2 * alpha)),
+    }
+    rng = np.random.default_rng(seed)
+    seen = []
+    for name, state in _stage_states(params):
+        seen.append(name)
+        registers, terms = checkpoint_terms(name, **params)
+        expected = expected_state(name, **params)
+        noise = rng.normal(size=state.dim) + 1j * rng.normal(size=state.dim)
+        off = state.amplitudes + noise / np.linalg.norm(noise)
+        perturbed = CompositeState(state.registers, off / np.linalg.norm(off))
+        # an extra live register entangled with the perturbed copy: the
+        # checkpoint's registers are then in a mixed reduced state
+        flag = Register.qubit2("extra")
+        mixed = CompositeState(
+            state.registers + (flag,),
+            (np.kron(state.amplitudes, [1, 0]) + np.kron(perturbed.amplitudes, [0, 1]))
+            / math.sqrt(2.0),
+        )
+        assert _dense_fidelity(perturbed, expected) < 0.9
+        for candidate in (state, perturbed, mixed):
+            contracted = product_fidelity(candidate, registers, terms)
+            assert contracted == pytest.approx(_dense_fidelity(candidate, expected), abs=1e-12)
+    assert seen == list(CHECKPOINTS)

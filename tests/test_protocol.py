@@ -455,6 +455,16 @@ def test_inputs_must_be_normalized():
         RunInputs(cb=1.0, cc=1.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("cb", math.nan), ("cc", math.inf), ("alpha", complex(0.0, -math.inf)),
+    ("alpha", complex(math.nan, 0.0)), ("gt", math.nan), ("gt", -math.inf),
+])
+def test_inputs_must_be_finite(field, value):
+    # NaN amplitudes would pass the normalization check, which compares with >
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        RunInputs(**{field: value})
+
+
 def test_canonical_json_rendering():
     text = canonical_json({"x": 0.5, "z": 1 + 2j, "n": None, "k": [1, True]})
     assert '"x": 0.5' in text
