@@ -39,6 +39,7 @@ from .protocol import (
     RunInputs,
     RunReport,
     StepRecord,
+    run_batch,
     run_protocol,
 )
 from .scenario import REFERENCE_SCRIPT
@@ -79,6 +80,7 @@ __all__ = [
     "project",
     "reduced_fidelity",
     "resolve",
+    "run_batch",
     "run_protocol",
     "serialize",
     "tail_bound_dim",

@@ -20,7 +20,7 @@ from . import protocol, script
 from .fockspace import ImpossibleOutcomeError
 from .gates import tail_bound_dim
 from .numformat import fmt_real, parse_complex, parse_real
-from .protocol import ProtocolError, RunReport, canonical_json, run_protocol
+from .protocol import ProtocolError, RunReport, canonical_json, run_batch, run_protocol
 from .scenario import REFERENCE_SCRIPT
 from .script import ScriptError
 
@@ -180,22 +180,47 @@ def _sweep_overrides(param: str, value: float, args: argparse.Namespace) -> dict
     return overrides
 
 
-def _sweep_one(param: str, value: float, args: argparse.Namespace) -> dict:
-    entry: dict = {"value": value, "final_fidelity": None,
-                   "cumulative_probability": None, "error": None}
+def _settle(entry: dict, outcome) -> None:
+    """Fill a sweep entry from a RunReport or from the error that replaced it."""
+    if isinstance(outcome, RunReport):
+        entry["final_fidelity"] = outcome.final_fidelity
+        entry["cumulative_probability"] = outcome.cumulative_probability
+        return
+    entry["error"] = str(outcome)
+    if isinstance(outcome, ProtocolError):
+        entry["impossible"] = isinstance(outcome.cause, ImpossibleOutcomeError)
+
+
+def _run_alone(run: script.ResolvedRun, args: argparse.Namespace):
     try:
-        run = script.resolve(script.parse(REFERENCE_SCRIPT),
-                             _sweep_overrides(param, value, args))
-        report = run_protocol(run.layout, run.instructions, run.inputs,
-                              sample=args.sample, seed=args.seed)
-        entry["final_fidelity"] = report.final_fidelity
-        entry["cumulative_probability"] = report.cumulative_probability
-    except (ScriptError, ValueError) as exc:
-        entry["error"] = str(exc)
+        return run_protocol(run.layout, run.instructions, run.inputs,
+                            sample=args.sample, seed=args.seed)
     except ProtocolError as exc:
-        entry["error"] = str(exc)
-        entry["impossible"] = isinstance(exc.cause, ImpossibleOutcomeError)
-    return entry
+        return exc
+
+
+def _sweep(values: list[float], args: argparse.Namespace) -> list[dict]:
+    entries = [{"value": v, "final_fidelity": None, "cumulative_probability": None,
+                "error": None} for v in values]
+    parsed = script.parse(REFERENCE_SCRIPT)
+    runs = {}
+    for index, value in enumerate(values):
+        try:
+            runs[index] = script.resolve(parsed, _sweep_overrides(args.param, value, args))
+        except (ScriptError, ValueError) as exc:
+            _settle(entries[index], exc)
+    if args.param == "cb" and not args.sample and runs:
+        # the reference script reads cb and cc only as the input amplitudes,
+        # so every value shares the first one's layout and instructions
+        first = next(iter(runs.values()))
+        outcomes = run_batch(first.layout, first.instructions,
+                             [run.inputs for run in runs.values()])
+    else:
+        # gates depend on alpha and gt, and a sampled outcome on the input
+        outcomes = [_run_alone(run, args) for run in runs.values()]
+    for index, outcome in zip(runs, outcomes):
+        _settle(entries[index], outcome)
+    return entries
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -207,7 +232,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("--values is empty", file=sys.stderr)
         return EXIT_INPUT
-    entries = [_sweep_one(args.param, v, args) for v in values]
+    entries = _sweep(values, args)
     impossible = any(e.pop("impossible", False) for e in entries)
     document = {"param": args.param, "runs": entries}
     payload = canonical_json(document)
@@ -218,8 +243,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_IMPOSSIBLE if impossible else EXIT_INPUT
 
 
+# value flags whose value may start with '-'; argparse reads such a token as
+# an option unless it looks like a plain negative number
+_VALUE_FLAGS = ("--cb", "--cc", "--alpha", "--gt", "--values")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``FLAG -VALUE`` as ``FLAG=-VALUE`` for the value flags."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and token.startswith("-") \
+                and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_dash_values(argv))
     handlers = {"run": cmd_run, "check": cmd_check, "paper": cmd_paper, "sweep": cmd_sweep}
     return handlers[args.command](args)
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REGISTER_KINDS = ("path", "lambda3", "qubit2", "mode")
+# "basis" indexes the inputs a batched run carries side by side
+REGISTER_KINDS = ("path", "lambda3", "qubit2", "mode", "basis")
 LAMBDA3_LABELS = ("a", "b", "c")
 QUBIT2_LABELS = ("f", "e")
 

@@ -3,6 +3,8 @@
 Reals are rendered with 17 significant digits so output is byte-stable
 and round-trips exactly.  Complex literals use the compact "re+imi" form
 (e.g. ``0.5-0.5i``, ``2i``, ``1.25``).  Parsing rejects inf and nan.
+Every finite complex number round-trips to an equal value, but the sign
+of a zero part is not kept: ``-0.0+1j`` renders as ``1i``.
 """
 
 from __future__ import annotations

@@ -20,12 +20,14 @@ import numpy as np
 
 from . import oracle
 from .fockspace import (
+    IMPOSSIBLE_OUTCOME_THRESHOLD,
     CompositeState,
     ImpossibleOutcomeError,
     Register,
     RegisterError,
     TruncationError,
     apply_op,
+    basis_column,
     drop_register,
     embed_controlled,
     extend,
@@ -378,17 +380,14 @@ def conditional_cavity_pass(
     return state
 
 
-def detect_internal(state: CompositeState, atom: str, label: str) -> tuple[CompositeState, float]:
-    """Measure an atom's internal level and retire that register."""
-    projected, probability = project(state, atom, label)
-    return drop_register(projected, atom), probability
+def detect(state: CompositeState, register: str, label: str) -> tuple[CompositeState, float]:
+    """Detect one register at a basis label and retire it.
 
-
-def detect_position(state: CompositeState, atom: str, label: str) -> tuple[CompositeState, float]:
-    """Detect an atom at one point of its current path basis."""
-    name = path_name(atom)
-    projected, probability = project(state, name, label)
-    return drop_register(projected, name), probability
+    Returns the renormalized remaining state and the squared norm of the
+    detected branch; a dead branch raises ImpossibleOutcomeError.
+    """
+    projected, probability = project(state, register, label)
+    return drop_register(projected, register), probability
 
 
 def propagate(state: CompositeState, atom: str, kernel: PropagationKernel) -> CompositeState:
@@ -408,8 +407,12 @@ def propagate(state: CompositeState, atom: str, kernel: PropagationKernel) -> Co
     return rebase_register(state, name, kernel.matrix, target)
 
 
-def inject_coherent(state: CompositeState, cavity: str, beta: complex) -> CompositeState:
-    """Displace a cavity mode by beta (coherent drive injection)."""
+def inject_coherent(state: CompositeState, cavity: str,
+                    beta: complex) -> tuple[CompositeState, float]:
+    """Displace a cavity mode by beta (coherent drive injection).
+
+    Returns the displaced state and its weight at the Fock cutoff.
+    """
     mode = state.register(cavity)
     out = apply_op(state, displacement(beta, mode.dim).on(cavity))
     top = float(label_probabilities(out, cavity)[-1])
@@ -418,7 +421,7 @@ def inject_coherent(state: CompositeState, cavity: str, beta: complex) -> Compos
             f"injection into {cavity} leaves {top:.3e} probability at the Fock cutoff; "
             "raise the truncation"
         )
-    return out
+    return out, top
 
 
 def jc_pass(state: CompositeState, probe: str, cavity: str, gt: float) -> CompositeState:
@@ -435,17 +438,27 @@ def jc_pass(state: CompositeState, probe: str, cavity: str, gt: float) -> Compos
 
 _KIND_BY_DETECT = {"lambda3": "detect_internal", "qubit2": "detect_probe"}
 
+# A batched run prepares the input atom entangled with this spectator axis,
+# |b> on label b and -|c> on label c, and keeps it first in the register
+# list.  Every step is linear in (cb, cc), so an input's state is cb times
+# column b plus cc times column c.  Its kind is none of path, atom or mode,
+# and its name is no script identifier, so nothing else can address it.
+_BASIS = Register("input basis", "basis", ("b", "c"))
 
-class _Runner:
-    def __init__(self, layout: ExperimentLayout, inputs: RunInputs,
-                 sample: bool, seed: int | None):
-        self.layout = layout
+
+class _Lane:
+    """One input's share of a run: its records, probabilities and tail mass."""
+
+    def __init__(self, inputs: RunInputs):
         self.inputs = inputs
-        self.state = CompositeState((), np.ones(1, dtype=complex))
+        self.coeffs = np.array([inputs.cb, inputs.cc], dtype=complex)
         self.records: list[StepRecord] = []
         self.cumulative = 1.0
         self.tail_mass = 0.0
-        self.rng = np.random.default_rng(seed) if sample else None
+        # squared norm of this input's combination of the basis columns right
+        # after the last detection; a column starts with norm 1/sqrt(2)
+        self.weight = 0.5
+        self.failed = False
 
     def report(self, final_fidelity: float | None = None) -> RunReport:
         return RunReport(
@@ -456,43 +469,93 @@ class _Runner:
             inputs=self.inputs,
         )
 
-    def run(self, instructions) -> RunReport:
+
+class _Runner:
+    """Walks one instruction list for one input, or for a batch of inputs.
+
+    A batch (more than one lane) carries the _BASIS axis once the input atom
+    is declared; each lane reads its probabilities off the Gram matrix of
+    the basis columns and scores checkpoints on its own combination of them.
+    """
+
+    def __init__(self, layout: ExperimentLayout, inputs, sample: bool, seed: int | None):
+        self.layout = layout
+        self.lanes = [_Lane(item) for item in inputs]
+        self.batched = len(self.lanes) > 1
+        self.state = CompositeState((), np.ones(1, dtype=complex))
+        self.rng = np.random.default_rng(seed) if sample else None
+
+    def live(self) -> list[_Lane]:
+        return [lane for lane in self.lanes if not lane.failed]
+
+    def run(self, instructions) -> list[RunReport | None]:
+        """One report per lane; in a batch, a lane that failed gives None."""
         for ins in instructions:
             try:
                 self.execute(ins)
             except (ImpossibleOutcomeError, TruncationError, RegisterError, ValueError) as exc:
-                raise ProtocolError(
-                    f"step failed ({ins.text or type(ins).__name__}): {exc}",
-                    report=self.report(),
-                    cause=exc,
-                ) from exc
-        return self.report(self.final_fidelity())
+                if not self.batched:
+                    raise ProtocolError(
+                        f"step failed ({ins.text or type(ins).__name__}): {exc}",
+                        report=self.lanes[0].report(),
+                        cause=exc,
+                    ) from exc
+                # a shared step failed: every lane is rerun on its own
+                for lane in self.lanes:
+                    lane.failed = True
+            if not self.live():
+                break
+        return [None if lane.failed else lane.report(self.final_fidelity(lane))
+                for lane in self.lanes]
 
-    def final_fidelity(self) -> float | None:
+    def _has_basis(self) -> bool:
+        return self.state.registers[:1] == (_BASIS,)
+
+    def _view(self, lane: _Lane) -> CompositeState:
+        """The state a single run of this lane's input would hold now."""
+        if not self._has_basis():
+            return self.state
+        columns = self.state.amplitudes.reshape(2, -1)
+        amps = (lane.coeffs @ columns) / math.sqrt(lane.weight)
+        return CompositeState(self.state.registers[1:], amps)
+
+    def _lane_weights(self, tensor: np.ndarray) -> list[float]:
+        """c^H G c for each live lane, G the Gram matrix of tensor's basis columns."""
+        columns = tensor.reshape(2, -1)
+        gram = columns.conj() @ columns.T
+        return [float(np.real(lane.coeffs.conj() @ gram @ lane.coeffs)) for lane in self.live()]
+
+    def _record(self, step: StepRecord) -> None:
+        for lane in self.live():
+            lane.records.append(step)
+
+    def final_fidelity(self, lane: _Lane) -> float | None:
         paths = [r for r in self.state.registers if r.kind == "path" and r.dim == 2]
         if len(paths) != 1:
             return None
         reg = paths[0]
-        target = CompositeState((reg,), np.array([self.inputs.cb, self.inputs.cc]))
-        return reduced_fidelity(self.state, (reg.name,), target)
+        target = CompositeState((reg,), np.array([lane.inputs.cb, lane.inputs.cc]))
+        return reduced_fidelity(self._view(lane), (reg.name,), target)
 
     def execute(self, ins) -> None:
         if isinstance(ins, DeclareCavity):
             vec = coherent_amplitudes(ins.alpha, ins.truncation)
-            self.tail_mass = max(self.tail_mass, coherent_tail_mass(ins.alpha, ins.truncation))
+            tail = coherent_tail_mass(ins.alpha, ins.truncation)
+            for lane in self.live():
+                lane.tail_mass = max(lane.tail_mass, tail)
             self.state = extend(self.state, Register.mode(ins.name, ins.truncation), vec)
-            self.records.append(StepRecord(ins.text or f"cavity {ins.name}", "declare"))
+            self._record(StepRecord(ins.text or f"cavity {ins.name}", "declare"))
         elif isinstance(ins, DeclareAtom):
-            self.state = extend(self.state, self._atom_register(ins), self._atom_state(ins))
-            self.records.append(StepRecord(ins.text or f"atom {ins.name}", "declare"))
+            self._declare_atom(ins)
+            self._record(StepRecord(ins.text or f"atom {ins.name}", "declare"))
         elif isinstance(ins, Split):
             self.state = split_at_screen(self.state, ins.atom, self.layout.screen(ins.screen))
-            self.records.append(StepRecord(ins.text or f"split {ins.atom}", "split"))
+            self._record(StepRecord(ins.text or f"split {ins.atom}", "split"))
         elif isinstance(ins, CavityPass):
             self.state = conditional_cavity_pass(
                 self.state, ins.atom, self.layout.screen(ins.screen), ins.phi, self.layout
             )
-            self.records.append(StepRecord(ins.text or f"pass {ins.atom}", "cavity_pass"))
+            self._record(StepRecord(ins.text or f"pass {ins.atom}", "cavity_pass"))
         elif isinstance(ins, Detect):
             self._detect(ins)
         elif isinstance(ins, Propagate):
@@ -500,33 +563,40 @@ class _Runner:
             source = self.state.register(path_name(ins.atom)).labels
             kernel = PropagationKernel(source, spec.target_labels, spec.matrix)
             self.state = propagate(self.state, ins.atom, kernel)
-            self.records.append(StepRecord(ins.text or f"propagate {ins.atom}", "propagate"))
+            self._record(StepRecord(ins.text or f"propagate {ins.atom}", "propagate"))
         elif isinstance(ins, Inject):
-            self.state = inject_coherent(self.state, ins.cavity, ins.beta)
-            top = float(label_probabilities(self.state, ins.cavity)[-1])
-            self.tail_mass = max(self.tail_mass, top)
-            self.records.append(StepRecord(ins.text or f"inject {ins.cavity}", "inject"))
+            self._inject(ins)
         elif isinstance(ins, JcPass):
             self.state = jc_pass(self.state, ins.atom, ins.cavity, ins.gt)
-            self.records.append(StepRecord(ins.text or f"jcpass {ins.atom}", "jc_pass"))
+            self._record(StepRecord(ins.text or f"jcpass {ins.atom}", "jc_pass"))
         elif isinstance(ins, Checkpoint):
             self._checkpoint(ins)
         else:
             raise ValueError(f"unknown instruction {ins!r}")
 
-    def _atom_register(self, ins: DeclareAtom) -> Register:
+    def _declare_atom(self, ins: DeclareAtom) -> None:
         if ins.kind == "lambda3":
-            return Register.lambda3(ins.name)
-        if ins.kind == "qubit2":
-            return Register.qubit2(ins.name)
-        raise RegisterError(f"atom {ins.name}: unknown kind {ins.kind!r}")
-
-    def _atom_state(self, ins: DeclareAtom):
-        if ins.state == "input":
-            if ins.kind != "lambda3":
-                raise RegisterError(f"atom {ins.name}: 'input' preparation needs a lambda3 atom")
-            return np.array([0.0, self.inputs.cb, -self.inputs.cc], dtype=complex)
-        return ins.state
+            register = Register.lambda3(ins.name)
+        elif ins.kind == "qubit2":
+            register = Register.qubit2(ins.name)
+        else:
+            raise RegisterError(f"atom {ins.name}: unknown kind {ins.kind!r}")
+        if ins.state != "input":
+            self.state = extend(self.state, register, ins.state)
+            return
+        if ins.kind != "lambda3":
+            raise RegisterError(f"atom {ins.name}: 'input' preparation needs a lambda3 atom")
+        if not self.batched:
+            inputs = self.lanes[0].inputs
+            self.state = extend(self.state, register,
+                                np.array([0.0, inputs.cb, -inputs.cc], dtype=complex))
+            return
+        # a second input atom would make the state quadratic in (cb, cc); its
+        # duplicate _BASIS register fails the step and every lane reruns alone
+        halves = [np.kron(self.state.amplitudes, basis_column(register, column))
+                  for column in ([0.0, 1.0, 0.0], [0.0, 0.0, -1.0])]
+        self.state = CompositeState((_BASIS,) + self.state.registers + (register,),
+                                    np.concatenate(halves) / math.sqrt(2.0))
 
     def _detect(self, ins: Detect) -> None:
         register = ins.atom if ins.which == "internal" else path_name(ins.atom)
@@ -538,24 +608,51 @@ class _Runner:
         if self.rng is not None:
             weights = label_probabilities(self.state, register)
             label = reg.labels[self.rng.choice(reg.dim, p=weights / weights.sum())]
-        projected, probability = project(self.state, register, label)
-        self.state = drop_register(projected, register)
-        self.cumulative *= probability
-        self.records.append(StepRecord(ins.text or f"detect {ins.atom}", kind,
-                                       outcome=label, probability=probability))
+        self.state, probability = detect(self.state, register, label)
+        lanes = self.live()
+        probabilities = [probability] * len(lanes)
+        if self._has_basis():
+            # the branch's Gram matrix is probability times the new state's
+            weights = self._lane_weights(self.state.amplitudes)
+            probabilities = [probability * w / lane.weight for lane, w in zip(lanes, weights)]
+            for lane, w in zip(lanes, weights):
+                lane.weight = w
+        for lane, p in zip(lanes, probabilities):
+            if p < IMPOSSIBLE_OUTCOME_THRESHOLD:
+                lane.failed = True
+                continue
+            lane.cumulative *= p
+            lane.records.append(StepRecord(ins.text or f"detect {ins.atom}", kind,
+                                           outcome=label, probability=p))
+
+    def _inject(self, ins: Inject) -> None:
+        self.state, top = inject_coherent(self.state, ins.cavity, ins.beta)
+        lanes = self.live()
+        tops = [top] * len(lanes)
+        if self._has_basis():
+            edge = np.take(self.state.tensor(), -1, axis=self.state.axis(ins.cavity))
+            tops = [w / lane.weight for lane, w in zip(lanes, self._lane_weights(edge))]
+        for lane, t in zip(lanes, tops):
+            if t > INJECTION_TAIL_LIMIT:
+                lane.failed = True
+                continue
+            lane.tail_mass = max(lane.tail_mass, t)
+            lane.records.append(StepRecord(ins.text or f"inject {ins.cavity}", "inject"))
 
     def _checkpoint(self, ins: Checkpoint) -> None:
-        registers, terms = oracle.checkpoint_terms(
-            ins.name,
-            cb=self.inputs.cb,
-            cc=self.inputs.cc,
-            alpha=self.inputs.alpha,
-            truncation=self.inputs.truncation,
-            gt=self.inputs.gt,
-        )
-        value = product_fidelity(self.state, registers, terms)
-        self.records.append(StepRecord(ins.text or f"checkpoint {ins.name}", "checkpoint",
-                                       outcome=ins.name, checkpoint_fidelity=value))
+        for lane in self.live():
+            inputs = lane.inputs
+            registers, terms = oracle.checkpoint_terms(
+                ins.name,
+                cb=inputs.cb,
+                cc=inputs.cc,
+                alpha=inputs.alpha,
+                truncation=inputs.truncation,
+                gt=inputs.gt,
+            )
+            value = product_fidelity(self._view(lane), registers, terms)
+            lane.records.append(StepRecord(ins.text or f"checkpoint {ins.name}", "checkpoint",
+                                           outcome=ins.name, checkpoint_fidelity=value))
 
 
 def run_protocol(
@@ -572,4 +669,31 @@ def run_protocol(
     and track its probability.  With sample=True outcomes are drawn from
     the Born rule using the seeded generator instead.
     """
-    return _Runner(layout, inputs, sample, seed).run(list(instructions))
+    return _Runner(layout, [inputs], sample, seed).run(list(instructions))[0]
+
+
+def run_batch(layout: ExperimentLayout, instructions, inputs) -> list[RunReport | ProtocolError]:
+    """Post-selected runs of one instruction list for several inputs in one pass.
+
+    The inputs must share alpha, truncation and gt; only (cb, cc) differ.
+    Entry i equals ``run_protocol(layout, instructions, inputs[i])`` to
+    rounding, or is the ProtocolError that call raises: an input whose
+    forced outcome is impossible, or whose injection overflows the cutoff,
+    leaves the batch and is rerun alone, and the others carry on.
+    """
+    instructions = list(instructions)
+    inputs = list(inputs)
+    if len({(item.alpha, item.truncation, item.gt) for item in inputs}) > 1:
+        raise ValueError("batched inputs must share alpha, truncation and gt")
+    reports: list = [None] * len(inputs)
+    if len(inputs) > 1:
+        reports = _Runner(layout, inputs, False, None).run(instructions)
+    return [report if report is not None else _run_alone(layout, instructions, item)
+            for report, item in zip(reports, inputs)]
+
+
+def _run_alone(layout: ExperimentLayout, instructions, inputs: RunInputs):
+    try:
+        return run_protocol(layout, instructions, inputs)
+    except ProtocolError as exc:
+        return exc

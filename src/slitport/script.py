@@ -662,7 +662,12 @@ class _Validator:
         if name not in CHECKPOINTS:
             self.fail(cmd.line, f"unknown checkpoint {name!r}")
             return
+        first = not any(isinstance(i, protocol.Checkpoint) for i in self.instructions)
         self.instructions.append(protocol.Checkpoint(name, text=cmd.render()))
+        if self.inputs.alpha == 0 and first:
+            self.fail(cmd.line, f"checkpoint {name}: alpha is 0, so the odd cat "
+                                "|alpha> - |-alpha> vanishes and the cavities cannot record "
+                                "a slit; checkpoints need a nonzero alpha")
 
     def _check_truncations(self) -> None:
         for name, spec in self.cavities.items():

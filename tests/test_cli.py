@@ -150,3 +150,45 @@ def test_sweep_rejects_non_finite_value(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not a finite number: 'nan'" in captured.err
+
+
+def test_paper_alpha_zero_is_a_validation_error(capsys):
+    assert main(["paper", "--alpha", "0"]) == 2
+    assert "odd cat |alpha> - |-alpha> vanishes" in capsys.readouterr().err
+
+
+def test_sweep_alpha_zero_records_error(capsys):
+    assert main(["sweep", "--param", "alpha", "--values=0,2"]) == 0
+    zero, two = json.loads(capsys.readouterr().out)["runs"]
+    assert "odd cat" in zero["error"] and zero["final_fidelity"] is None
+    assert two["error"] is None and two["final_fidelity"] >= 1 - 1e-8
+
+
+def test_vacuum_cavity_without_checkpoints_validates(capsys, tmp_path):
+    script = tmp_path / "vacuum.qprot"
+    script.write_text("config alpha 0\ncavity C1 alpha $alpha\natom A lambda3 state b\n")
+    assert main(["check", str(script)]) == 0
+    assert main(["run", str(script)]) == 0
+    capsys.readouterr()
+
+
+def test_flag_values_may_start_with_a_dash(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["paper", "--cb", "-0.6+0i", "--cc", "0.8", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["inputs"]["cb"] == "-0.59999999999999998"
+    capsys.readouterr()
+    assert main(["sweep", "--param", "cb", "--values", "-0.3,0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["value"] for e in doc["runs"]] == [-0.3, 0.5]
+    assert all(e["error"] is None for e in doc["runs"])
+
+
+def test_sweep_cb_keeps_order_and_error_entries(capsys):
+    assert main(["sweep", "--param", "cb", "--values=0.6,1.5,-1,0"]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [e["value"] for e in runs] == [0.6, 1.5, -1, 0]
+    assert "no matching cc" in runs[1]["error"] and runs[1]["final_fidelity"] is None
+    for entry in (runs[0], runs[2], runs[3]):
+        assert entry["error"] is None
+        assert entry["final_fidelity"] >= 1 - 1e-8
+        assert entry["cumulative_probability"] == pytest.approx(9.0352889675e-4, rel=1e-9)

@@ -127,7 +127,7 @@ def test_jc_excited_probability_needs_room():
 def _stage_states(params):
     """(checkpoint name, live engine state) at each checkpoint of the reference run."""
     run = resolve(parse(REFERENCE_SCRIPT), params)
-    runner = protocol._Runner(run.layout, run.inputs, sample=False, seed=None)
+    runner = protocol._Runner(run.layout, [run.inputs], sample=False, seed=None)
     for ins in run.instructions:
         if isinstance(ins, protocol.Checkpoint):
             yield ins.name, runner.state

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import _fuzzed_script
 
 from slitport import oracle
 from slitport.fockspace import (
     ImpossibleOutcomeError,
     Register,
     RegisterError,
+    TruncationError,
     fidelity,
     make_state,
     rebase_register,
@@ -15,25 +19,30 @@ from slitport.fockspace import (
 )
 from slitport.gates import cat_state, coherent_amplitudes
 from slitport.protocol import (
+    CavityPass,
     Checkpoint,
+    DeclareAtom,
+    DeclareCavity,
     Detect,
     ExperimentLayout,
+    Inject,
     PropagationKernel,
     ProtocolError,
     RunInputs,
     ScreenSpec,
+    Split,
     canonical_json,
     conditional_cavity_pass,
-    detect_internal,
-    detect_position,
+    detect,
     inject_coherent,
     jc_pass,
     propagate,
+    run_batch,
     run_protocol,
     split_at_screen,
 )
 from slitport.scenario import REFERENCE_SCRIPT
-from slitport.script import parse, resolve
+from slitport.script import ResolvedRun, parse, resolve
 
 RNG = np.random.default_rng(4242)
 R = 1 / math.sqrt(2)
@@ -158,14 +167,14 @@ def test_detect_impossible_outcome():
     state = conditional_cavity_pass(state, "A1", screen, math.pi, layout)
     # the pass never populates the upper level from |b>
     with pytest.raises(ImpossibleOutcomeError):
-        detect_internal(state, "A1", "a")
+        detect(state, "A1", "a")
 
 
 def test_detect_drops_register():
     layout, screen = small_layout()
     state = split_at_screen(fresh_atom_state(), "A1", screen)
     state = conditional_cavity_pass(state, "A1", screen, math.pi, layout)
-    out, p = detect_internal(state, "A1", "c")
+    out, p = detect(state, "A1", "c")
     assert "A1" not in out.names
     assert 0 < p < 1
     assert abs(out.norm() - 1) < 1e-12
@@ -189,7 +198,7 @@ def test_propagate_detector_row_sheds_other_branch():
     out = propagate(state, "A1", kernel)
     assert out.register("A1_path").labels == ("dp",)
     assert out.norm() ** 2 == pytest.approx(0.5, abs=1e-12)
-    collapsed, p = detect_position(out, "A1", "dp")
+    collapsed, p = detect(out, "A1_path", "dp")
     assert p == pytest.approx(0.5, abs=1e-12)
     assert abs(collapsed.norm() - 1) < 1e-12
 
@@ -225,7 +234,7 @@ def test_inject_maps_cats_to_displaced_pairs():
     n = 64
     for sign in (+1, -1):
         state = make_state([Register.mode("C1", n)], {"C1": cat_state(2.0, sign, n)})
-        out = inject_coherent(state, "C1", 2.0)
+        out, _ = inject_coherent(state, "C1", 2.0)
         big = coherent_amplitudes(4.0, n)
         vac = np.zeros(n, dtype=complex)
         vac[0] = 1
@@ -238,8 +247,9 @@ def test_inject_maps_cats_to_displaced_pairs():
 def test_inject_zero_is_identity():
     n = 32
     state = make_state([Register.mode("C1", n)], {"C1": cat_state(1.5, +1, n)})
-    out = inject_coherent(state, "C1", 0.0)
+    out, top = inject_coherent(state, "C1", 0.0)
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
+    assert top == abs(out.amplitudes[-1]) ** 2
 
 
 def test_inject_truncation_guard():
@@ -269,7 +279,7 @@ def test_jc_pass_excites_probe():
     state = make_state([Register.qubit2("A51"), Register.mode("C1", n)],
                        {"A51": "f", "C1": coherent_amplitudes(4.0, n)})
     out = jc_pass(state, "A51", "C1", math.pi / 8)
-    _, p = detect_internal(out, "A51", "e")
+    _, p = detect(out, "A51", "e")
     assert p >= 0.9
 
 
@@ -471,3 +481,121 @@ def test_canonical_json_rendering():
     assert '"z": "1+2i"' in text
     assert '"n": null' in text
     assert '"k"' in text and "true" in text
+
+
+# --- batched runs ---
+
+
+def _assert_batch_matches_single_runs(run, inputs):
+    batched = run_batch(run.layout, run.instructions, inputs)
+    assert len(batched) == len(inputs)
+    for got, item in zip(batched, inputs):
+        try:
+            want = run_protocol(run.layout, run.instructions, item)
+        except ProtocolError as exc:
+            want = exc
+        if isinstance(want, ProtocolError):
+            assert isinstance(got, ProtocolError)
+            assert str(got) == str(want)
+            assert type(got.cause) is type(want.cause)
+            assert got.report.to_json() == want.report.to_json()
+            continue
+        assert got.inputs == want.inputs
+        assert [(s.name, s.kind, s.outcome) for s in got.steps] == \
+            [(s.name, s.kind, s.outcome) for s in want.steps]
+        for a, b in zip(got.steps, want.steps):
+            for field in ("probability", "checkpoint_fidelity"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert x == pytest.approx(y, rel=1e-12, abs=1e-12)
+        if want.final_fidelity is None:
+            assert got.final_fidelity is None
+        else:
+            assert got.final_fidelity == pytest.approx(want.final_fidelity, abs=1e-12)
+        assert got.cumulative_probability == pytest.approx(want.cumulative_probability,
+                                                           rel=1e-12)
+        assert got.truncation_tail_mass == pytest.approx(want.truncation_tail_mass, rel=1e-9)
+
+
+def _normalized_pairs(zs):
+    pairs = []
+    for z in zs:
+        cb, cc = complex(z[0], z[1]), complex(z[2], z[3])
+        norm = math.sqrt(abs(cb) ** 2 + abs(cc) ** 2)
+        pairs.append((cb / norm, cc / norm))
+    return pairs
+
+
+_PAIRS = st.lists(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda z: sum(x * x for x in z) > 1e-2),
+    min_size=2, max_size=3,
+).map(_normalized_pairs)
+
+
+@settings(max_examples=4, deadline=None)
+@given(pairs=_PAIRS)
+def test_batch_equals_single_runs_on_reference(pairs):
+    run = reference_run()
+    _assert_batch_matches_single_runs(
+        run, [RunInputs(cb=cb, cc=cc) for cb, cc in pairs])
+
+
+@settings(max_examples=5, deadline=None)
+@given(pairs=_PAIRS, seed=st.integers(0, 2**32 - 1))
+def test_batch_equals_single_runs_with_sub_unitary_kernel(pairs, seed):
+    # the det kernel sheds input-dependent flux before the position detection
+    run = resolve(parse(_fuzzed_script(np.random.default_rng(seed))))
+    _assert_batch_matches_single_runs(
+        run, [RunInputs(cb=cb, cc=cc) for cb, cc in pairs])
+
+
+INPUT_AT_C = """cavity C1 alpha 2 truncation 32
+cavity C2 alpha 2 truncation 32
+screen S s1 s2
+bind s1 C1
+bind s2 C2
+atom A lambda3 state input
+split A S
+detect A internal c
+atom B lambda3 state b
+split B S
+pass B S phi pi
+detect B internal c
+"""
+
+
+def test_batch_impossible_input_fails_alone():
+    run = resolve(parse(INPUT_AT_C))
+    inputs = [RunInputs(cb=1.0, cc=0.0), RunInputs(cb=0.6, cc=0.8)]
+    _assert_batch_matches_single_runs(run, inputs)
+    failed, passed = run_batch(run.layout, run.instructions, inputs)
+    assert isinstance(failed.cause, ImpossibleOutcomeError)
+    assert "detect A internal c" in str(failed)
+    detected = {s.name: s.probability for s in passed.steps if s.kind == "detect_internal"}
+    assert detected["detect A internal c"] == pytest.approx(0.64, abs=1e-12)
+    assert passed.cumulative_probability < 0.64
+
+
+def test_batch_injection_tail_is_per_input():
+    # below the tail-bound cutoff (so built without the validator) the
+    # injected weight at the cutoff depends on the input's cavity parity:
+    # about 8.5e-9 and 9.3e-9 for the basis inputs, above 1e-8 for (0.6, 0.8)
+    layout, _ = small_layout(truncation=16, alpha=1.0)
+    instructions = (
+        DeclareCavity("C1", 1.0, 16), DeclareCavity("C2", 1.0, 16),
+        DeclareAtom("A", "lambda3", "input"), Split("A", "SC1"),
+        CavityPass("A", "SC1", math.pi), Detect("A", "internal", "b"), Inject("C1", 0.47),
+    )
+    run = ResolvedRun(layout, instructions, RunInputs())
+    inputs = [RunInputs(cb=1.0, cc=0.0), RunInputs(cb=0.0, cc=1.0), RunInputs(cb=0.6, cc=0.8)]
+    _assert_batch_matches_single_runs(run, inputs)
+    first, second, third = run_batch(layout, instructions, inputs)
+    assert 5e-9 < first.truncation_tail_mass < second.truncation_tail_mass < 1e-8
+    assert isinstance(third.cause, TruncationError)
+
+
+def test_batch_needs_shared_field_parameters():
+    run = reference_run()
+    with pytest.raises(ValueError, match="share alpha"):
+        run_batch(run.layout, run.instructions, [RunInputs(), RunInputs(gt=0.3)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from slitport.numformat import fmt_complex, fmt_real, parse_complex
 from slitport.scenario import REFERENCE_SCRIPT
@@ -32,9 +34,20 @@ def test_parse_complex_forms():
         parse_complex("nope")
 
 
-def test_fmt_complex_round_trip():
-    for z in (1.5, -2j, 0.5 - 0.5j, 1j, 0.0, -0.25 + 0j, 3.25e-7 + 1e3j):
-        assert parse_complex(fmt_complex(complex(z))) == complex(z)
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+@example(1.5)
+@example(-2j)
+@example(0.5 - 0.5j)
+@example(1j)
+@example(0.0)
+@example(-0.25 + 0j)
+@example(3.25e-7 + 1e3j)
+@example(complex(5e-324, -1e-300))
+@example(complex(-1e300, 2.2250738585072014e-308))
+@example(complex(-0.0, -0.0))
+def test_fmt_complex_round_trip(z):
+    # value equality: a zero part may come back with the other sign
+    assert parse_complex(fmt_complex(z)) == z
 
 
 def test_fmt_real_17_digits():
