@@ -33,8 +33,7 @@ from .gates import (
 )
 from .oracle import CHECKPOINTS, expected_state, jc_excited_probability
 from .protocol import (
-    ExperimentLayout,
-    PropagationKernel,
+    Kernel,
     ProtocolError,
     RunInputs,
     RunReport,
@@ -43,17 +42,16 @@ from .protocol import (
     run_protocol,
 )
 from .scenario import REFERENCE_SCRIPT
-from .script import ProtocolScript, ScriptError, parse, resolve, serialize, validate
+from .script import ProtocolScript, ScriptError, parse, resolve, serialize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CHECKPOINTS",
     "CompositeState",
-    "ExperimentLayout",
     "ImpossibleOutcomeError",
+    "Kernel",
     "OperatorMatrix",
-    "PropagationKernel",
     "ProtocolError",
     "ProtocolScript",
     "REFERENCE_SCRIPT",
@@ -84,5 +82,4 @@ __all__ = [
     "run_protocol",
     "serialize",
     "tail_bound_dim",
-    "validate",
 ]

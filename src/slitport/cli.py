@@ -13,7 +13,9 @@ post-selection outcome.  Reports go to stdout as a table and, with
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import protocol, script
@@ -41,6 +43,13 @@ def _complex_flag(text: str) -> complex:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _real_flag(text: str) -> float:
+    try:
+        return parse_real(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cb", type=_complex_flag, default=None,
                         help="input amplitude on |b> (complex literal, e.g. 0.6 or 0.5-0.5i)")
@@ -55,7 +64,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sample", action="store_true",
                         help="draw detection outcomes from the Born rule instead of forcing them")
     parser.add_argument("--seed", type=int, default=None, help="seed for --sample")
-    parser.add_argument("--min-fidelity", type=float, default=0.0,
+
+
+def _add_threshold_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--min-fidelity", type=_real_flag, default=0.0,
                         help="exit nonzero when the final fidelity falls below this")
 
 
@@ -67,12 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a protocol script")
     p_run.add_argument("script", help="path to a .qprot file")
     _add_run_flags(p_run)
+    _add_threshold_flag(p_run)
 
     p_check = sub.add_parser("check", help="parse and validate a script")
     p_check.add_argument("script", help="path to a .qprot file")
 
     p_paper = sub.add_parser("paper", help="run the built-in scenario with all checkpoints")
     _add_run_flags(p_paper)
+    _add_threshold_flag(p_paper)
 
     p_sweep = sub.add_parser("sweep", help="run the built-in scenario over a parameter range")
     p_sweep.add_argument("--param", required=True, choices=("alpha", "gt", "cb"))
@@ -94,17 +108,27 @@ def _load_script(path: str) -> script.ProtocolScript:
     return script.parse(file.read_text(encoding="utf-8"))
 
 
+def _emit(text: str) -> None:
+    """Print to stdout; a reader that closed it early loses only the text."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # later writes, and the flush at exit, go to the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print_report(report: RunReport) -> None:
-    print(f"{'step':<42} {'kind':<16} {'outcome':<8} {'probability':>12} {'fidelity':>12}")
+    lines = [f"{'step':<42} {'kind':<16} {'outcome':<8} {'probability':>12} {'fidelity':>12}"]
     for step in report.steps:
         prob = fmt_real(step.probability)[:12] if step.probability is not None else ""
         fid = f"{step.checkpoint_fidelity:.10f}" if step.checkpoint_fidelity is not None else ""
-        print(f"{step.name:<42.42} {step.kind:<16} {step.outcome or '':<8} {prob:>12} {fid:>12}")
-    print()
-    print(f"cumulative probability  {fmt_real(report.cumulative_probability)}")
+        lines.append(f"{step.name:<42.42} {step.kind:<16} {step.outcome or '':<8} "
+                     f"{prob:>12} {fid:>12}")
     final = "n/a" if report.final_fidelity is None else fmt_real(report.final_fidelity)
-    print(f"final fidelity          {final}")
-    print(f"truncation tail mass    {fmt_real(report.truncation_tail_mass)}")
+    lines += ["", f"cumulative probability  {fmt_real(report.cumulative_probability)}",
+              f"final fidelity          {final}",
+              f"truncation tail mass    {fmt_real(report.truncation_tail_mass)}"]
+    _emit("\n".join(lines))
 
 
 def _write_json(path: str | None, payload: str) -> None:
@@ -119,17 +143,16 @@ def _execute(parsed: script.ProtocolScript, args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return EXIT_INPUT
     try:
-        report = run_protocol(run.layout, run.instructions, run.inputs,
-                              sample=args.sample, seed=args.seed)
+        report = run_protocol(run.instructions, run.inputs, sample=args.sample, seed=args.seed)
     except ProtocolError as exc:
         print(exc, file=sys.stderr)
         if exc.report is not None:
-            _print_report(exc.report)
             _write_json(args.json, exc.report.to_json())
+            _print_report(exc.report)
         return (EXIT_IMPOSSIBLE if isinstance(exc.cause, ImpossibleOutcomeError)
                 else EXIT_INPUT)
-    _print_report(report)
     _write_json(args.json, report.to_json())
+    _print_report(report)
     if report.final_fidelity is not None and report.final_fidelity < args.min_fidelity:
         print(f"final fidelity below threshold {args.min_fidelity}", file=sys.stderr)
         return EXIT_FAIL
@@ -148,12 +171,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         parsed = _load_script(args.script)
-        layout = script.validate(parsed)
-    except ScriptError as exc:
+        script.resolve(parsed)
+    except (ScriptError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT
-    print(f"ok: {len(parsed.commands)} commands, {len(layout.screens)} screens, "
-          f"{len(layout.cavities)} cavities, {len(layout.kernels)} kernels")
+    # a valid script declares each name once
+    count = Counter(cmd.keyword for cmd in parsed.commands)
+    _emit(f"ok: {len(parsed.commands)} commands, {count['screen']} screens, "
+          f"{count['cavity']} cavities, {count['kernel']} kernels")
     return EXIT_OK
 
 
@@ -193,8 +218,7 @@ def _settle(entry: dict, outcome) -> None:
 
 def _run_alone(run: script.ResolvedRun, args: argparse.Namespace):
     try:
-        return run_protocol(run.layout, run.instructions, run.inputs,
-                            sample=args.sample, seed=args.seed)
+        return run_protocol(run.instructions, run.inputs, sample=args.sample, seed=args.seed)
     except ProtocolError as exc:
         return exc
 
@@ -211,10 +235,9 @@ def _sweep(values: list[float], args: argparse.Namespace) -> list[dict]:
             _settle(entries[index], exc)
     if args.param == "cb" and not args.sample and runs:
         # the reference script reads cb and cc only as the input amplitudes,
-        # so every value shares the first one's layout and instructions
+        # so every value shares the first one's instructions
         first = next(iter(runs.values()))
-        outcomes = run_batch(first.layout, first.instructions,
-                             [run.inputs for run in runs.values()])
+        outcomes = run_batch(first.instructions, [run.inputs for run in runs.values()])
     else:
         # gates depend on alpha and gt, and a sampled outcome on the input
         outcomes = [_run_alone(run, args) for run in runs.values()]
@@ -236,8 +259,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     impossible = any(e.pop("impossible", False) for e in entries)
     document = {"param": args.param, "runs": entries}
     payload = canonical_json(document)
-    print(payload)
     _write_json(args.json, payload)
+    _emit(payload)
     if any(e["error"] is None for e in entries):
         return EXIT_OK
     return EXIT_IMPOSSIBLE if impossible else EXIT_INPUT

@@ -66,99 +66,30 @@ class ProtocolError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# layout
-
-
-@dataclass(frozen=True)
-class ScreenSpec:
-    name: str
-    slits: tuple[str, str]
-
-
-@dataclass(frozen=True)
-class CavitySpec:
-    name: str
-    alpha: complex
-    truncation: int
+# instructions (produced by script.resolve, or built directly in tests)
 
 
 @dataclass(frozen=True, eq=False)
-class KernelSpec:
-    """A named propagation matrix; rows are target labels, columns sources."""
-
-    name: str
-    target_labels: tuple[str, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != len(self.target_labels):
-            raise RegisterError(f"kernel {self.name}: matrix shape {m.shape} does not "
-                                f"match {len(self.target_labels)} target labels")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True, eq=False)
-class PropagationKernel:
+class Kernel:
     """Amplitudes for free flight between screens: matrix[target][source].
 
     Columns may have norm below one; missing flux is simply never
     detected downstream.
     """
 
-    source_labels: tuple[str, ...]
     target_labels: tuple[str, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (len(self.target_labels), len(self.source_labels)):
-            raise RegisterError(
-                f"kernel matrix shape {m.shape} does not map "
-                f"{len(self.source_labels)} sources onto {len(self.target_labels)} targets"
-            )
+        if m.ndim != 2 or m.shape[0] != len(self.target_labels):
+            raise RegisterError(f"kernel matrix shape {m.shape} does not match "
+                                f"{len(self.target_labels)} target labels")
         norms = np.linalg.norm(m, axis=0)
         if np.any(norms > 1.0 + 1e-12):
             raise RegisterError(f"kernel column exceeds unit norm (max {norms.max():.12f})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class ExperimentLayout:
-    screens: tuple[ScreenSpec, ...]
-    cavities: tuple[CavitySpec, ...]
-    bindings: tuple[tuple[str, str], ...]  # slit label -> cavity name
-    kernels: tuple[KernelSpec, ...]
-
-    def screen(self, name: str) -> ScreenSpec:
-        for s in self.screens:
-            if s.name == name:
-                return s
-        raise RegisterError(f"no screen named {name!r}")
-
-    def cavity(self, name: str) -> CavitySpec:
-        for c in self.cavities:
-            if c.name == name:
-                return c
-        raise RegisterError(f"no cavity named {name!r}")
-
-    def kernel(self, name: str) -> KernelSpec:
-        for k in self.kernels:
-            if k.name == name:
-                return k
-        raise RegisterError(f"no kernel named {name!r}")
-
-    def cavity_behind(self, slit: str) -> str:
-        for label, cavity in self.bindings:
-            if label == slit:
-                return cavity
-        raise RegisterError(f"slit {slit} has no cavity")
-
-
-# ---------------------------------------------------------------------------
-# instructions (produced by script.validate, or built directly in tests)
 
 
 @dataclass(frozen=True)
@@ -180,14 +111,14 @@ class DeclareAtom:
 @dataclass(frozen=True)
 class Split:
     atom: str
-    screen: str
+    slits: tuple[str, str]
     text: str = ""
 
 
 @dataclass(frozen=True)
 class CavityPass:
     atom: str
-    screen: str
+    bindings: tuple[tuple[str, str], ...]  # (slit, cavity behind it), in slit order
     phi: float
     text: str = ""
 
@@ -203,7 +134,7 @@ class Detect:
 @dataclass(frozen=True)
 class Propagate:
     atom: str
-    kernel: str
+    kernel: Kernel
     text: str = ""
 
 
@@ -343,37 +274,36 @@ def path_name(atom: str) -> str:
     return f"{atom}_path"
 
 
-def split_at_screen(state: CompositeState, atom: str, screen: ScreenSpec) -> CompositeState:
+def split_at_screen(state: CompositeState, atom: str,
+                    slits: tuple[str, str]) -> CompositeState:
     """Send an atom through a two-slit screen: equal superposition of slits."""
-    if len(screen.slits) != 2:
-        raise RegisterError(f"screen {screen.name} must have exactly 2 slits")
+    if len(slits) != 2:
+        raise RegisterError(f"a screen must have exactly 2 slits, got {slits}")
     name = path_name(atom)
     if name in state.names:
         raise RegisterError(f"atom {atom} is already split")
     amp = np.full(2, 1.0 / math.sqrt(2.0), dtype=complex)
-    return extend(state, Register.path(name, screen.slits), amp)
+    return extend(state, Register.path(name, slits), amp)
 
 
 def conditional_cavity_pass(
     state: CompositeState,
     atom: str,
-    screen: ScreenSpec,
+    bindings: tuple[tuple[str, str], ...],
     phi: float,
-    layout: ExperimentLayout,
 ) -> CompositeState:
     """Dispersive pass behind a screen: each slit drives its own cavity.
 
-    Applies the three-level gate on (atom internal, cavity mode),
-    controlled on the atom's path being at the bound slit.  Unitary
-    overall.
+    ``bindings`` pairs each slit, in the path register's order, with the
+    cavity behind it.  Applies the three-level gate on (atom internal,
+    cavity mode), controlled on the atom's path being at that slit.
+    Unitary overall.
     """
     path = state.register(path_name(atom))
-    if path.labels != screen.slits:
-        raise RegisterError(
-            f"atom {atom} path basis {path.labels} is not screen {screen.name}'s slits"
-        )
-    for slit in screen.slits:
-        cavity = layout.cavity_behind(slit)
+    slits = tuple(slit for slit, _ in bindings)
+    if path.labels != slits:
+        raise RegisterError(f"atom {atom} path basis {path.labels} is not the slits {slits}")
+    for slit, cavity in bindings:
         mode = state.register(cavity)
         gate = dispersive_lambda(phi, mode.dim).on(atom, cavity)
         state = apply_op(state, embed_controlled(path, slit, gate))
@@ -390,19 +320,14 @@ def detect(state: CompositeState, register: str, label: str) -> tuple[CompositeS
     return drop_register(projected, register), probability
 
 
-def propagate(state: CompositeState, atom: str, kernel: PropagationKernel) -> CompositeState:
+def propagate(state: CompositeState, atom: str, kernel: Kernel) -> CompositeState:
     """Rebase an atom's path register through a propagation kernel.
 
-    Sub-unitary kernels shed undetected flux; the state is renormalized
-    only at the next detection.
+    The kernel's columns run over the current path labels.  Sub-unitary
+    kernels shed undetected flux; the state is renormalized only at the
+    next detection.
     """
     name = path_name(atom)
-    current = state.register(name)
-    if current.labels != kernel.source_labels:
-        raise RegisterError(
-            f"atom {atom} path basis {current.labels} does not match kernel "
-            f"sources {kernel.source_labels}"
-        )
     target = Register.path(name, kernel.target_labels)
     return rebase_register(state, name, kernel.matrix, target)
 
@@ -478,8 +403,7 @@ class _Runner:
     the basis columns and scores checkpoints on its own combination of them.
     """
 
-    def __init__(self, layout: ExperimentLayout, inputs, sample: bool, seed: int | None):
-        self.layout = layout
+    def __init__(self, inputs, sample: bool, seed: int | None):
         self.lanes = [_Lane(item) for item in inputs]
         self.batched = len(self.lanes) > 1
         self.state = CompositeState((), np.ones(1, dtype=complex))
@@ -549,20 +473,15 @@ class _Runner:
             self._declare_atom(ins)
             self._record(StepRecord(ins.text or f"atom {ins.name}", "declare"))
         elif isinstance(ins, Split):
-            self.state = split_at_screen(self.state, ins.atom, self.layout.screen(ins.screen))
+            self.state = split_at_screen(self.state, ins.atom, ins.slits)
             self._record(StepRecord(ins.text or f"split {ins.atom}", "split"))
         elif isinstance(ins, CavityPass):
-            self.state = conditional_cavity_pass(
-                self.state, ins.atom, self.layout.screen(ins.screen), ins.phi, self.layout
-            )
+            self.state = conditional_cavity_pass(self.state, ins.atom, ins.bindings, ins.phi)
             self._record(StepRecord(ins.text or f"pass {ins.atom}", "cavity_pass"))
         elif isinstance(ins, Detect):
             self._detect(ins)
         elif isinstance(ins, Propagate):
-            spec = self.layout.kernel(ins.kernel)
-            source = self.state.register(path_name(ins.atom)).labels
-            kernel = PropagationKernel(source, spec.target_labels, spec.matrix)
-            self.state = propagate(self.state, ins.atom, kernel)
+            self.state = propagate(self.state, ins.atom, ins.kernel)
             self._record(StepRecord(ins.text or f"propagate {ins.atom}", "propagate"))
         elif isinstance(ins, Inject):
             self._inject(ins)
@@ -656,7 +575,6 @@ class _Runner:
 
 
 def run_protocol(
-    layout: ExperimentLayout,
     instructions,
     inputs: RunInputs,
     *,
@@ -669,14 +587,14 @@ def run_protocol(
     and track its probability.  With sample=True outcomes are drawn from
     the Born rule using the seeded generator instead.
     """
-    return _Runner(layout, [inputs], sample, seed).run(list(instructions))[0]
+    return _Runner([inputs], sample, seed).run(list(instructions))[0]
 
 
-def run_batch(layout: ExperimentLayout, instructions, inputs) -> list[RunReport | ProtocolError]:
+def run_batch(instructions, inputs) -> list[RunReport | ProtocolError]:
     """Post-selected runs of one instruction list for several inputs in one pass.
 
     The inputs must share alpha, truncation and gt; only (cb, cc) differ.
-    Entry i equals ``run_protocol(layout, instructions, inputs[i])`` to
+    Entry i equals ``run_protocol(instructions, inputs[i])`` to
     rounding, or is the ProtocolError that call raises: an input whose
     forced outcome is impossible, or whose injection overflows the cutoff,
     leaves the batch and is rerun alone, and the others carry on.
@@ -687,13 +605,13 @@ def run_batch(layout: ExperimentLayout, instructions, inputs) -> list[RunReport 
         raise ValueError("batched inputs must share alpha, truncation and gt")
     reports: list = [None] * len(inputs)
     if len(inputs) > 1:
-        reports = _Runner(layout, inputs, False, None).run(instructions)
-    return [report if report is not None else _run_alone(layout, instructions, item)
+        reports = _Runner(inputs, False, None).run(instructions)
+    return [report if report is not None else _run_alone(instructions, item)
             for report, item in zip(reports, inputs)]
 
 
-def _run_alone(layout: ExperimentLayout, instructions, inputs: RunInputs):
+def _run_alone(instructions, inputs: RunInputs):
     try:
-        return run_protocol(layout, instructions, inputs)
+        return run_protocol(instructions, inputs)
     except ProtocolError as exc:
         return exc

@@ -33,8 +33,6 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import protocol
 from .gates import tail_bound_dim
 from .numformat import fmt_complex, fmt_real, parse_complex
@@ -109,7 +107,6 @@ class ProtocolScript:
 class ResolvedRun:
     """A validated script lowered to engine structures."""
 
-    layout: protocol.ExperimentLayout
     instructions: tuple
     inputs: protocol.RunInputs
 
@@ -410,10 +407,10 @@ class _Validator:
             "truncation": inputs.truncation, "gt": inputs.gt,
         }
         self.errors: list[tuple[int, str]] = []
-        self.cavities: dict[str, protocol.CavitySpec] = {}
-        self.screens: dict[str, protocol.ScreenSpec] = {}
-        self.bindings: dict[str, str] = {}
-        self.kernels: dict[str, protocol.KernelSpec] = {}
+        self.cavities: dict[str, protocol.DeclareCavity] = {}
+        self.screens: dict[str, tuple[str, str]] = {}  # screen -> its slits
+        self.bindings: dict[str, str] = {}  # slit -> cavity
+        self.kernels: dict[str, protocol.Kernel] = {}
         self.atom_kind: dict[str, str] = {}
         self.internal_live: dict[str, bool] = {}
         self.path_basis: dict[str, tuple[str, ...] | None] = {}
@@ -435,13 +432,7 @@ class _Validator:
         self._check_truncations()
         if self.errors:
             raise ScriptError(self.errors)
-        layout = protocol.ExperimentLayout(
-            screens=tuple(self.screens.values()),
-            cavities=tuple(self.cavities.values()),
-            bindings=tuple(self.bindings.items()),
-            kernels=tuple(self.kernels.values()),
-        )
-        return ResolvedRun(layout, tuple(self.instructions), self.inputs)
+        return ResolvedRun(tuple(self.instructions), self.inputs)
 
     def _fresh(self, line: int, name: str) -> bool:
         for table, kind in ((self.cavities, "cavity"), (self.screens, "screen"),
@@ -467,11 +458,9 @@ class _Validator:
         if trunc < 2:
             self.fail(cmd.line, f"cavity {name}: truncation must be at least 2")
             return
-        self.cavities[name] = protocol.CavitySpec(name, alpha, trunc)
+        self.cavities[name] = protocol.DeclareCavity(name, alpha, trunc, text=cmd.render())
         self.injections[name] = 0.0
-        self.instructions.append(
-            protocol.DeclareCavity(name, alpha, trunc, text=cmd.render())
-        )
+        self.instructions.append(self.cavities[name])
 
     def _cmd_atom(self, cmd: Command) -> None:
         name, kind, state = cmd.args
@@ -496,7 +485,7 @@ class _Validator:
                 self.fail(cmd.line, f"slit label {slit!r} is already used by screen "
                                     f"{self.slit_owner[slit]}")
                 return
-        self.screens[name] = protocol.ScreenSpec(name, (s1, s2))
+        self.screens[name] = (s1, s2)
         self.slit_owner[s1] = name
         self.slit_owner[s2] = name
 
@@ -518,24 +507,19 @@ class _Validator:
         if name in self.kernels:
             self.fail(cmd.line, f"kernel {name!r} is already declared")
             return
-        matrix = np.array(rows, dtype=complex)
         if name in self.screens:
-            targets = self.screens[name].slits
-            if matrix.shape[0] != len(targets):
+            targets = self.screens[name]
+            if len(rows) != len(targets):
                 self.fail(cmd.line, f"kernel {name}: screen {name} has {len(targets)} slits "
-                                    f"but the matrix has {matrix.shape[0]} rows")
+                                    f"but the matrix has {len(rows)} rows")
                 return
         else:
-            if matrix.shape[0] != 1:
+            if len(rows) != 1:
                 self.fail(cmd.line, f"kernel {name}: no screen named {name}, so the matrix "
                                     "must have a single detector row")
                 return
             targets = (name,)
-        norms = np.linalg.norm(matrix, axis=0)
-        if np.any(norms > 1.0 + 1e-12):
-            self.fail(cmd.line, "kernel column exceeds unit norm")
-            return
-        self.kernels[name] = protocol.KernelSpec(name, targets, matrix)
+        self.kernels[name] = protocol.Kernel(targets, rows)
 
     def _atom_ready(self, line: int, atom: str) -> bool:
         if atom not in self.atom_kind:
@@ -553,8 +537,8 @@ class _Validator:
         if self.path_basis.get(atom) is not None:
             self.fail(cmd.line, f"atom {atom} is already split")
             return
-        self.path_basis[atom] = self.screens[screen].slits
-        self.instructions.append(protocol.Split(atom, screen, text=cmd.render()))
+        self.path_basis[atom] = self.screens[screen]
+        self.instructions.append(protocol.Split(atom, self.screens[screen], text=cmd.render()))
 
     def _cmd_pass(self, cmd: Command) -> None:
         atom, screen, phi = cmd.args
@@ -569,22 +553,20 @@ class _Validator:
         if screen not in self.screens:
             self.fail(cmd.line, f"screen {screen!r} is not declared")
             return
-        spec = self.screens[screen]
-        if self.path_basis.get(atom) != spec.slits:
+        slits = self.screens[screen]
+        if self.path_basis.get(atom) != slits:
             self.fail(cmd.line, f"atom {atom} is not at screen {screen}'s slits")
             return
-        seen_cavities = set()
-        for slit in spec.slits:
-            cavity = self.bindings.get(slit)
-            if cavity is None:
+        for slit in slits:
+            if slit not in self.bindings:
                 self.fail(cmd.line, f"slit {slit} has no cavity")
                 return
-            seen_cavities.add(cavity)
-        if len(seen_cavities) != 2:
+        bindings = tuple((slit, self.bindings[slit]) for slit in slits)
+        if bindings[0][1] == bindings[1][1]:
             self.fail(cmd.line, f"screen {screen}: both slits bind the same cavity")
             return
         self.instructions.append(
-            protocol.CavityPass(atom, screen, phi.resolve(self.params), text=cmd.render())
+            protocol.CavityPass(atom, bindings, phi.resolve(self.params), text=cmd.render())
         )
 
     def _cmd_detect(self, cmd: Command) -> None:
@@ -629,7 +611,7 @@ class _Validator:
                                 f"{atom}'s basis has {len(basis)} labels")
             return
         self.path_basis[atom] = spec.target_labels
-        self.instructions.append(protocol.Propagate(atom, kernel, text=cmd.render()))
+        self.instructions.append(protocol.Propagate(atom, spec, text=cmd.render()))
 
     def _cmd_inject(self, cmd: Command) -> None:
         cavity, beta_arg = cmd.args
@@ -683,8 +665,3 @@ def resolve(script: ProtocolScript, overrides: dict | None = None) -> ResolvedRu
     """Validate and lower a parsed script against effective run parameters."""
     inputs = resolve_inputs(script, overrides)
     return _Validator(script, inputs).run()
-
-
-def validate(script: ProtocolScript, overrides: dict | None = None) -> protocol.ExperimentLayout:
-    """Semantic checks; returns the layout or raises ScriptError with all issues."""
-    return resolve(script, overrides).layout

@@ -55,7 +55,7 @@ def random_pair(rng):
 
 def run_reference(**overrides):
     run = resolve(parse(REFERENCE_SCRIPT), overrides)
-    return run_protocol(run.layout, run.instructions, run.inputs)
+    return run_protocol(run.instructions, run.inputs)
 
 
 def test_criterion_1_end_to_end_fidelity():

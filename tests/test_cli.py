@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,7 +54,7 @@ def test_sampled_runs_reproducible(capsys):
 
 def test_check_subcommand(capsys, tmp_path):
     assert main(["check", str(SCENARIO)]) == 0
-    assert "6 screens" in capsys.readouterr().out
+    assert capsys.readouterr().out == "ok: 69 commands, 6 screens, 2 cavities, 5 kernels\n"
     bad = tmp_path / "bad.qprot"
     bad.write_text("warp A1\ncavity C1 alpha\n")
     assert main(["check", str(bad)]) == 2
@@ -85,6 +88,41 @@ def test_min_fidelity_threshold(capsys):
     # fidelity is 1, so an impossible threshold flips the exit code
     assert main(["paper", "--min-fidelity", "1.5"]) == 1
     capsys.readouterr()
+
+
+def test_check_rejects_unnormalized_config(capsys, tmp_path):
+    script = tmp_path / "unnormalized.qprot"
+    script.write_text("config cb 1\nconfig cc 1\n")
+    assert main(["check", str(script)]) == 2
+    assert "|cb|^2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "gt", "--values", "0.3", "--min-fidelity", "2"],
+    ["paper", "--min-fidelity", "nan"],
+])
+def test_min_fidelity_rejected_where_meaningless(capsys, argv):
+    # sweep never reads a threshold, and a NaN threshold never trips
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    capsys.readouterr()
+
+
+def test_closed_stdout_is_a_clean_exit():
+    # the error entries make a report larger than a pipe's buffer, so the
+    # write is still pending when the reader goes away
+    env = dict(os.environ, PYTHONPATH=str(SCENARIO.parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slitport.cli", "sweep", "--param", "cb",
+         "--values=" + ",".join(["2"] * 1000)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_unnormalized_inputs_rejected(capsys):

@@ -24,12 +24,10 @@ from slitport.protocol import (
     DeclareAtom,
     DeclareCavity,
     Detect,
-    ExperimentLayout,
     Inject,
-    PropagationKernel,
+    Kernel,
     ProtocolError,
     RunInputs,
-    ScreenSpec,
     Split,
     canonical_json,
     conditional_cavity_pass,
@@ -59,16 +57,8 @@ def reference_run(**overrides):
     return resolve(parse(REFERENCE_SCRIPT), overrides)
 
 
-def small_layout(truncation=32, alpha=2.0):
-    screen = ScreenSpec("SC1", ("sl1", "sl2"))
-    from slitport.protocol import CavitySpec
-
-    return ExperimentLayout(
-        screens=(screen,),
-        cavities=(CavitySpec("C1", alpha, truncation), CavitySpec("C2", alpha, truncation)),
-        bindings=(("sl1", "C1"), ("sl2", "C2")),
-        kernels=(),
-    ), screen
+SLITS = ("sl1", "sl2")
+BINDINGS = (("sl1", "C1"), ("sl2", "C2"))
 
 
 def fresh_atom_state(truncation=32, alpha=2.0, internal="b"):
@@ -82,8 +72,7 @@ def fresh_atom_state(truncation=32, alpha=2.0, internal="b"):
 
 
 def test_split_equal_superposition():
-    _, screen = small_layout()
-    state = split_at_screen(fresh_atom_state(), "A1", screen)
+    state = split_at_screen(fresh_atom_state(), "A1", SLITS)
     assert state.register("A1_path").labels == ("sl1", "sl2")
     tens = state.tensor()
     assert abs(state.norm() - 1) < 1e-12
@@ -92,44 +81,39 @@ def test_split_equal_superposition():
 
 
 def test_split_twice_rejected():
-    _, screen = small_layout()
-    state = split_at_screen(fresh_atom_state(), "A1", screen)
+    state = split_at_screen(fresh_atom_state(), "A1", SLITS)
     with pytest.raises(RegisterError):
-        split_at_screen(state, "A1", screen)
+        split_at_screen(state, "A1", SLITS)
 
 
 # --- conditional cavity pass ---
 
 
 def test_pass_matches_oracle_checkpoint():
-    layout, screen = small_layout(truncation=64)
-    state = split_at_screen(fresh_atom_state(truncation=64), "A1", screen)
-    state = conditional_cavity_pass(state, "A1", screen, math.pi, layout)
+    state = split_at_screen(fresh_atom_state(truncation=64), "A1", SLITS)
+    state = conditional_cavity_pass(state, "A1", BINDINGS, math.pi)
     expected = oracle.expected_state("A1_after_cavities", cb=R, cc=R, alpha=2.0,
                                      truncation=64, gt=math.pi / 8)
     assert fidelity(reorder(state, expected.names), expected) >= 1 - 1e-10
 
 
 def test_pass_phi_zero_fixes_b_level():
-    layout, screen = small_layout()
-    state = split_at_screen(fresh_atom_state(internal="b"), "A1", screen)
-    out = conditional_cavity_pass(state, "A1", screen, 0.0, layout)
+    state = split_at_screen(fresh_atom_state(internal="b"), "A1", SLITS)
+    out = conditional_cavity_pass(state, "A1", BINDINGS, 0.0)
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
 
 def test_pass_preserves_norm():
-    layout, screen = small_layout()
-    state = split_at_screen(fresh_atom_state(), "A1", screen)
+    state = split_at_screen(fresh_atom_state(), "A1", SLITS)
     for phi in (0.4, 1.0, math.pi):
-        out = conditional_cavity_pass(state, "A1", screen, phi, layout)
+        out = conditional_cavity_pass(state, "A1", BINDINGS, phi)
         assert abs(out.norm() - 1) < 1e-12
 
 
 def test_pass_requires_slit_basis():
-    layout, screen = small_layout()
     state = fresh_atom_state()
     with pytest.raises(RegisterError):
-        conditional_cavity_pass(state, "A1", screen, math.pi, layout)
+        conditional_cavity_pass(state, "A1", BINDINGS, math.pi)
 
 
 # --- detections ---
@@ -145,7 +129,7 @@ def test_joint_detection_probability_quarter_wavelength():
     run = reference_run()
     head = [i for i in run.instructions if not isinstance(i, Checkpoint)][:10]
     assert isinstance(head[-2], Detect) and isinstance(head[-1], Detect)
-    report_steps = run_protocol(run.layout, head, run.inputs).steps
+    report_steps = run_protocol(head, run.inputs).steps
     probs = [s.probability for s in report_steps if s.probability is not None]
     joint = probs[0] * probs[1]
     assert joint == pytest.approx(joint_c1_b2_probability(2.0), abs=1e-12)
@@ -156,24 +140,22 @@ def test_b3_probability_is_half_for_any_input():
     for _ in range(5):
         cb, cc = random_pair()
         run = reference_run(cb=cb, cc=cc)
-        report = run_protocol(run.layout, run.instructions, run.inputs)
+        report = run_protocol(run.instructions, run.inputs)
         b3 = [s for s in report.steps if s.name == "detect A3 internal b"]
         assert b3[0].probability == pytest.approx(0.5, abs=1e-10)
 
 
 def test_detect_impossible_outcome():
-    layout, screen = small_layout()
-    state = split_at_screen(fresh_atom_state(), "A1", screen)
-    state = conditional_cavity_pass(state, "A1", screen, math.pi, layout)
+    state = split_at_screen(fresh_atom_state(), "A1", SLITS)
+    state = conditional_cavity_pass(state, "A1", BINDINGS, math.pi)
     # the pass never populates the upper level from |b>
     with pytest.raises(ImpossibleOutcomeError):
         detect(state, "A1", "a")
 
 
 def test_detect_drops_register():
-    layout, screen = small_layout()
-    state = split_at_screen(fresh_atom_state(), "A1", screen)
-    state = conditional_cavity_pass(state, "A1", screen, math.pi, layout)
+    state = split_at_screen(fresh_atom_state(), "A1", SLITS)
+    state = conditional_cavity_pass(state, "A1", BINDINGS, math.pi)
     out, p = detect(state, "A1", "c")
     assert "A1" not in out.names
     assert 0 < p < 1
@@ -184,17 +166,15 @@ def test_detect_drops_register():
 
 
 def test_propagate_identity_kernel():
-    _, screen = small_layout()
-    state = split_at_screen(fresh_atom_state(), "A1", screen)
-    kernel = PropagationKernel(("sl1", "sl2"), ("sl1", "sl2"), np.eye(2))
+    state = split_at_screen(fresh_atom_state(), "A1", SLITS)
+    kernel = Kernel(SLITS, np.eye(2))
     out = propagate(state, "A1", kernel)
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
 
 def test_propagate_detector_row_sheds_other_branch():
-    _, screen = small_layout()
-    state = split_at_screen(fresh_atom_state(), "A1", screen)
-    kernel = PropagationKernel(("sl1", "sl2"), ("dp",), np.array([[1.0, 0.0]]))
+    state = split_at_screen(fresh_atom_state(), "A1", SLITS)
+    kernel = Kernel(("dp",), np.array([[1.0, 0.0]]))
     out = propagate(state, "A1", kernel)
     assert out.register("A1_path").labels == ("dp",)
     assert out.norm() ** 2 == pytest.approx(0.5, abs=1e-12)
@@ -215,16 +195,16 @@ def test_propagate_far_field_keeps_relative_weights():
 
 
 def test_propagate_basis_mismatch():
-    _, screen = small_layout()
-    state = split_at_screen(fresh_atom_state(), "A1", screen)
-    kernel = PropagationKernel(("x", "y"), ("dp",), np.array([[1.0, 0.0]]))
+    state = split_at_screen(fresh_atom_state(), "A1", SLITS)
+    # three columns against the two-label path register
+    kernel = Kernel(("dp",), np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(RegisterError):
         propagate(state, "A1", kernel)
 
 
 def test_kernel_column_norm_checked():
     with pytest.raises(RegisterError):
-        PropagationKernel(("a", "b"), ("t",), np.array([[1.2, 0.0]]))
+        Kernel(("t",), np.array([[1.2, 0.0]]))
 
 
 # --- injection ---
@@ -304,13 +284,13 @@ def test_jc_pass_needs_probe():
 
 def test_basis_input_teleports_exactly():
     run = reference_run(cb=1.0, cc=0.0)
-    report = run_protocol(run.layout, run.instructions, run.inputs)
+    report = run_protocol(run.instructions, run.inputs)
     assert report.final_fidelity >= 1 - 1e-8
 
 
 def test_sign_flipped_input_teleports():
     run = reference_run(cb=R, cc=-R)
-    report = run_protocol(run.layout, run.instructions, run.inputs)
+    report = run_protocol(run.instructions, run.inputs)
     assert report.final_fidelity >= 1 - 1e-8
 
 
@@ -319,7 +299,7 @@ def test_cumulative_probability_input_independent():
     for _ in range(10):
         cb, cc = random_pair()
         run = reference_run(cb=cb, cc=cc)
-        report = run_protocol(run.layout, run.instructions, run.inputs)
+        report = run_protocol(run.instructions, run.inputs)
         if baseline is None:
             baseline = report.cumulative_probability
         assert report.cumulative_probability == pytest.approx(baseline, abs=1e-10)
@@ -358,7 +338,7 @@ def test_swapping_independent_passes_changes_nothing():
     fids = {}
     for order in (("A1", "A2"), ("A2", "A1")):
         run = resolve(parse(_reordered_reference(order)))
-        report = run_protocol(run.layout, run.instructions, run.inputs)
+        report = run_protocol(run.instructions, run.inputs)
         fids[order] = [(s.outcome, s.checkpoint_fidelity)
                        for s in report.steps if s.kind == "checkpoint"]
     base, swapped = fids[("A1", "A2")], fids[("A2", "A1")]
@@ -378,7 +358,7 @@ def test_probability_product_matches_unnormalized_evolution():
 
     cb, cc = random_pair()
     run = reference_run(cb=cb, cc=cc)
-    report = run_protocol(run.layout, run.instructions, run.inputs)
+    report = run_protocol(run.instructions, run.inputs)
 
     state = CompositeState((), np.ones(1, dtype=complex))
     for ins in run.instructions:
@@ -394,10 +374,9 @@ def test_probability_product_matches_unnormalized_evolution():
             else:
                 state = extend(state, Register.qubit2(ins.name), ins.state)
         elif isinstance(ins, P.Split):
-            state = split_at_screen(state, ins.atom, run.layout.screen(ins.screen))
+            state = split_at_screen(state, ins.atom, ins.slits)
         elif isinstance(ins, P.CavityPass):
-            state = conditional_cavity_pass(state, ins.atom,
-                                            run.layout.screen(ins.screen), ins.phi, run.layout)
+            state = conditional_cavity_pass(state, ins.atom, ins.bindings, ins.phi)
         elif isinstance(ins, P.Detect):
             reg = ins.atom if ins.which == "internal" else P.path_name(ins.atom)
             current = state.register(reg)
@@ -406,10 +385,7 @@ def test_probability_product_matches_unnormalized_evolution():
             state = rebase_register(state, reg, selector,
                                     Register.path(reg, (ins.label + "_sel",)))
         elif isinstance(ins, P.Propagate):
-            spec = run.layout.kernel(ins.kernel)
-            source = state.register(P.path_name(ins.atom)).labels
-            state = propagate(state, ins.atom,
-                              PropagationKernel(source, spec.target_labels, spec.matrix))
+            state = propagate(state, ins.atom, ins.kernel)
         elif isinstance(ins, P.Inject):
             mode = state.register(ins.cavity)
             state = apply_op(state, displacement(ins.beta, mode.dim).on(ins.cavity))
@@ -421,7 +397,7 @@ def test_probability_product_matches_unnormalized_evolution():
 
 def test_probe_detection_probabilities_in_unit_interval():
     run = reference_run()
-    report = run_protocol(run.layout, run.instructions, run.inputs)
+    report = run_protocol(run.instructions, run.inputs)
     for step in report.steps:
         if step.probability is not None:
             assert 0.0 <= step.probability <= 1.0
@@ -430,7 +406,7 @@ def test_probe_detection_probabilities_in_unit_interval():
 def test_impossible_branch_aborts_with_partial_report():
     run = reference_run(gt=0.0)
     with pytest.raises(ProtocolError) as err:
-        run_protocol(run.layout, run.instructions, run.inputs)
+        run_protocol(run.instructions, run.inputs)
     assert isinstance(err.value.cause, ImpossibleOutcomeError)
     assert err.value.report is not None
     assert any(s.kind == "checkpoint" for s in err.value.report.steps)
@@ -438,17 +414,17 @@ def test_impossible_branch_aborts_with_partial_report():
 
 def test_sampled_runs_are_seed_deterministic():
     run = reference_run()
-    a = run_protocol(run.layout, run.instructions, run.inputs, sample=True, seed=7)
-    b = run_protocol(run.layout, run.instructions, run.inputs, sample=True, seed=7)
+    a = run_protocol(run.instructions, run.inputs, sample=True, seed=7)
+    b = run_protocol(run.instructions, run.inputs, sample=True, seed=7)
     assert [s.outcome for s in a.steps] == [s.outcome for s in b.steps]
     assert a.cumulative_probability == b.cumulative_probability
 
 
 def test_report_json_schema_and_stability():
     run = reference_run()
-    report = run_protocol(run.layout, run.instructions, run.inputs)
+    report = run_protocol(run.instructions, run.inputs)
     payload = report.to_json()
-    assert payload == run_protocol(run.layout, run.instructions, run.inputs).to_json()
+    assert payload == run_protocol(run.instructions, run.inputs).to_json()
     import json
 
     doc = json.loads(payload)
@@ -487,11 +463,11 @@ def test_canonical_json_rendering():
 
 
 def _assert_batch_matches_single_runs(run, inputs):
-    batched = run_batch(run.layout, run.instructions, inputs)
+    batched = run_batch(run.instructions, inputs)
     assert len(batched) == len(inputs)
     for got, item in zip(batched, inputs):
         try:
-            want = run_protocol(run.layout, run.instructions, item)
+            want = run_protocol(run.instructions, item)
         except ProtocolError as exc:
             want = exc
         if isinstance(want, ProtocolError):
@@ -569,7 +545,7 @@ def test_batch_impossible_input_fails_alone():
     run = resolve(parse(INPUT_AT_C))
     inputs = [RunInputs(cb=1.0, cc=0.0), RunInputs(cb=0.6, cc=0.8)]
     _assert_batch_matches_single_runs(run, inputs)
-    failed, passed = run_batch(run.layout, run.instructions, inputs)
+    failed, passed = run_batch(run.instructions, inputs)
     assert isinstance(failed.cause, ImpossibleOutcomeError)
     assert "detect A internal c" in str(failed)
     detected = {s.name: s.probability for s in passed.steps if s.kind == "detect_internal"}
@@ -581,16 +557,15 @@ def test_batch_injection_tail_is_per_input():
     # below the tail-bound cutoff (so built without the validator) the
     # injected weight at the cutoff depends on the input's cavity parity:
     # about 8.5e-9 and 9.3e-9 for the basis inputs, above 1e-8 for (0.6, 0.8)
-    layout, _ = small_layout(truncation=16, alpha=1.0)
     instructions = (
         DeclareCavity("C1", 1.0, 16), DeclareCavity("C2", 1.0, 16),
-        DeclareAtom("A", "lambda3", "input"), Split("A", "SC1"),
-        CavityPass("A", "SC1", math.pi), Detect("A", "internal", "b"), Inject("C1", 0.47),
+        DeclareAtom("A", "lambda3", "input"), Split("A", SLITS),
+        CavityPass("A", BINDINGS, math.pi), Detect("A", "internal", "b"), Inject("C1", 0.47),
     )
-    run = ResolvedRun(layout, instructions, RunInputs())
+    run = ResolvedRun(instructions, RunInputs())
     inputs = [RunInputs(cb=1.0, cc=0.0), RunInputs(cb=0.0, cc=1.0), RunInputs(cb=0.6, cc=0.8)]
     _assert_batch_matches_single_runs(run, inputs)
-    first, second, third = run_batch(layout, instructions, inputs)
+    first, second, third = run_batch(instructions, inputs)
     assert 5e-9 < first.truncation_tail_mass < second.truncation_tail_mass < 1e-8
     assert isinstance(third.cause, TruncationError)
 
@@ -598,4 +573,4 @@ def test_batch_injection_tail_is_per_input():
 def test_batch_needs_shared_field_parameters():
     run = reference_run()
     with pytest.raises(ValueError, match="share alpha"):
-        run_batch(run.layout, run.instructions, [RunInputs(), RunInputs(gt=0.3)])
+        run_batch(run.instructions, [RunInputs(), RunInputs(gt=0.3)])

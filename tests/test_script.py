@@ -6,16 +6,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slitport.numformat import fmt_complex, fmt_real, parse_complex
+from slitport.protocol import CavityPass, DeclareCavity
 from slitport.scenario import REFERENCE_SCRIPT
 from slitport.script import (
+    KEYWORDS,
+    PARAM_NAMES,
     Angle,
+    Command,
     ParamRef,
+    ProtocolScript,
     ScriptError,
     parse,
     parse_lenient,
     resolve,
     serialize,
-    validate,
 )
 
 RNG = np.random.default_rng(55)
@@ -184,23 +188,86 @@ def test_fuzzed_scripts_round_trip():
             [(c.keyword, c.args) for c in again.commands]
 
 
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True)
+_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_PARAM = st.sampled_from(PARAM_NAMES)
+_NUMBER = st.one_of(_COMPLEX, _PARAM.map(ParamRef))
+_INT = st.integers(-10**6, 10**6)
+_LITERAL_ANGLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: Angle("value", x)),
+    st.just(Angle("pi")),
+    st.integers(1, 10**6).map(lambda n: Angle("pifrac", n)),
+)
+_ANGLE = st.one_of(_LITERAL_ANGLE, _PARAM.map(lambda name: Angle("param", name)))
+_MATRIX = st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(_COMPLEX, min_size=width, max_size=width).map(tuple), min_size=1, max_size=3,
+).map(tuple))
+_ARGS = {
+    # config values define parameters, so they take no $references
+    "config": st.one_of(st.tuples(st.sampled_from(("cb", "cc", "alpha")), _COMPLEX),
+                        st.tuples(st.just("truncation"), _INT),
+                        st.tuples(st.just("gt"), _LITERAL_ANGLE)),
+    "cavity": st.tuples(_IDENT, _NUMBER, st.one_of(st.none(), _INT, _PARAM.map(ParamRef))),
+    "atom": st.tuples(_IDENT, st.sampled_from(("lambda3", "qubit2")), _IDENT),
+    "screen": st.tuples(_IDENT, st.lists(_IDENT, min_size=2, max_size=2, unique=True))
+    .map(lambda a: (a[0], *a[1])),
+    "bind": st.tuples(_IDENT, _IDENT),
+    "kernel": st.tuples(_IDENT, _MATRIX),
+    "split": st.tuples(_IDENT, _IDENT),
+    "pass": st.tuples(_IDENT, _IDENT, _ANGLE),
+    "detect": st.tuples(_IDENT, st.sampled_from(("internal", "position")), _IDENT),
+    "propagate": st.tuples(_IDENT, _IDENT),
+    "inject": st.tuples(_IDENT, _NUMBER),
+    "jcpass": st.tuples(_IDENT, _IDENT, _ANGLE),
+    "checkpoint": st.tuples(_IDENT),
+}
+assert set(_ARGS) == set(KEYWORDS)
+
+
+def _command(keyword):
+    return _ARGS[keyword].map(lambda args: (keyword, args))
+
+
+# every keyword once, then a few more in random order
+_SCRIPTS = st.tuples(
+    st.tuples(*[_command(k) for k in KEYWORDS]),
+    st.lists(st.sampled_from(KEYWORDS).flatmap(_command), max_size=8),
+).map(lambda parts: ProtocolScript(tuple(
+    Command(line, keyword, args)
+    for line, (keyword, args) in enumerate(parts[0] + tuple(parts[1]), start=1)
+)))
+
+
+@given(_SCRIPTS)
+def test_serialized_scripts_round_trip(script):
+    text = serialize(script)
+    again = parse(text)
+    assert serialize(again) == text
+    # values compare equal; a zero part may come back with the other sign
+    assert [(c.keyword, c.args) for c in again.commands] == \
+        [(c.keyword, c.args) for c in script.commands]
+
+
 # --- validation ---
 
 
+def _cavities(run):
+    return {i.name: i for i in run.instructions if isinstance(i, DeclareCavity)}
+
+
 def test_reference_layout_shape():
-    layout = validate(parse(REFERENCE_SCRIPT))
-    assert len(layout.screens) == 6
-    assert len(layout.cavities) == 2
-    assert len(layout.kernels) == 5
-    assert dict(layout.bindings) == {"sl1": "C1", "sl2": "C2"}
+    instructions = resolve(parse(REFERENCE_SCRIPT)).instructions
+    passes = [i for i in instructions if isinstance(i, CavityPass)]
+    assert len(passes) == 4
+    assert all(p.bindings == (("sl1", "C1"), ("sl2", "C2")) for p in passes)
+    assert sum(isinstance(i, DeclareCavity) for i in instructions) == 2
 
 
 def test_validate_is_deterministic():
     script = parse(REFERENCE_SCRIPT)
-    a = validate(script)
-    b = validate(script)
-    assert [s.name for s in a.screens] == [s.name for s in b.screens]
-    assert [k.name for k in a.kernels] == [k.name for k in b.kernels]
+    a = resolve(script).instructions
+    b = resolve(script).instructions
+    assert [i.text for i in a] == [i.text for i in b]
 
 
 def test_unbound_slit_reported():
@@ -209,62 +276,62 @@ def test_unbound_slit_reported():
         "atom A lambda3 state b\nsplit A S\npass A S phi pi\n"
     )
     with pytest.raises(ScriptError) as err:
-        validate(parse(text))
+        resolve(parse(text))
     assert any("slit SL3 has no cavity" in msg for _, msg in err.value.errors)
 
 
 def test_kernel_column_norm_rejected():
     with pytest.raises(ScriptError) as err:
-        validate(parse("kernel K [1.2 0]"))
+        resolve(parse("kernel K [1.2 0]"))
     assert any("kernel column exceeds unit norm" in msg for _, msg in err.value.errors)
 
 
 def test_detect_label_must_exist():
     text = "atom A1 lambda3 state b\ndetect A1 internal q\n"
     with pytest.raises(ScriptError) as err:
-        validate(parse(text))
+        resolve(parse(text))
     assert any("unknown label 'q' (valid: a, b, c)" in msg for _, msg in err.value.errors)
 
 
 def test_declaration_before_use():
     with pytest.raises(ScriptError) as err:
-        validate(parse("split A1 SC1\n"))
+        resolve(parse("split A1 SC1\n"))
     assert err.value.errors[0][0] == 1
 
 
 def test_duplicate_declarations_rejected():
     with pytest.raises(ScriptError):
-        validate(parse("cavity C1 alpha 1\ncavity C1 alpha 2\n"))
+        resolve(parse("cavity C1 alpha 1\ncavity C1 alpha 2\n"))
     with pytest.raises(ScriptError):
-        validate(parse("screen S a b\nscreen T a c\n"))
+        resolve(parse("screen S a b\nscreen T a c\n"))
 
 
 def test_split_twice_rejected_statically():
     text = ("cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v C2\n"
             "atom A lambda3 state b\nsplit A S\nsplit A S\n")
     with pytest.raises(ScriptError) as err:
-        validate(parse(text))
+        resolve(parse(text))
     assert any("already split" in msg for _, msg in err.value.errors)
 
 
 def test_checkpoint_names_validated():
     with pytest.raises(ScriptError) as err:
-        validate(parse("checkpoint NOT_A_STAGE"))
+        resolve(parse("checkpoint NOT_A_STAGE"))
     assert any("unknown checkpoint" in msg for _, msg in err.value.errors)
 
 
 def test_truncation_tail_bound_enforced():
     with pytest.raises(ScriptError) as err:
-        validate(parse("cavity C1 alpha 2 truncation 16\ninject C1 2\n"))
+        resolve(parse("cavity C1 alpha 2 truncation 16\ninject C1 2\n"))
     assert any("tail bound" in msg for _, msg in err.value.errors)
 
 
 def test_overrides_feed_validation():
     script = parse(REFERENCE_SCRIPT)
     with pytest.raises(ScriptError):
-        validate(script, {"truncation": 8})
-    layout = validate(script, {"alpha": 1.0, "truncation": 32})
-    assert layout.cavity("C1").truncation == 32
+        resolve(script, {"truncation": 8})
+    run = resolve(script, {"alpha": 1.0, "truncation": 32})
+    assert _cavities(run)["C1"].truncation == 32
 
 
 def test_resolve_produces_runnable_instructions():
@@ -280,13 +347,13 @@ def test_probe_cannot_take_lambda_pass():
     text = ("cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v C2\n"
             "atom P qubit2 state f\nsplit P S\npass P S phi pi\n")
     with pytest.raises(ScriptError) as err:
-        validate(parse(text))
+        resolve(parse(text))
     assert any("must be lambda3" in msg for _, msg in err.value.errors)
 
 
 def test_input_label_reserved_for_lambda3():
     with pytest.raises(ScriptError) as err:
-        validate(parse("atom P qubit2 state input"))
+        resolve(parse("atom P qubit2 state input"))
     assert any("unknown label" in msg for _, msg in err.value.errors)
 
 
@@ -298,5 +365,5 @@ def test_config_accepts_complex_amplitudes():
 
 
 def test_cavity_complex_alpha():
-    layout = validate(parse("cavity C1 alpha 0.5+0.5i truncation 24"))
-    assert layout.cavity("C1").alpha == 0.5 + 0.5j
+    run = resolve(parse("cavity C1 alpha 0.5+0.5i truncation 24"))
+    assert _cavities(run)["C1"].alpha == 0.5 + 0.5j
