@@ -9,6 +9,7 @@ reference states for every stage, and a CLI.
 """
 
 from .fockspace import (
+    BlockOperator,
     CompositeState,
     ImpossibleOutcomeError,
     OperatorMatrix,
@@ -24,8 +25,10 @@ from .fockspace import (
 from .gates import (
     cat_state,
     coherent_amplitudes,
+    dispersive_blocks,
     dispersive_lambda,
     displacement,
+    jc_blocks,
     jc_unitary,
     parity_phase,
     pi_projector,
@@ -47,6 +50,7 @@ from .script import ProtocolScript, ScriptError, parse, resolve, serialize
 __version__ = "0.1.0"
 
 __all__ = [
+    "BlockOperator",
     "CHECKPOINTS",
     "CompositeState",
     "ImpossibleOutcomeError",
@@ -65,10 +69,12 @@ __all__ = [
     "apply_op",
     "cat_state",
     "coherent_amplitudes",
+    "dispersive_blocks",
     "dispersive_lambda",
     "displacement",
     "expected_state",
     "fidelity",
+    "jc_blocks",
     "jc_excited_probability",
     "jc_unitary",
     "make_state",

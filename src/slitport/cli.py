@@ -50,6 +50,16 @@ def _real_flag(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed_flag(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cb", type=_complex_flag, default=None,
                         help="input amplitude on |b> (complex literal, e.g. 0.6 or 0.5-0.5i)")
@@ -63,7 +73,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
     parser.add_argument("--sample", action="store_true",
                         help="draw detection outcomes from the Born rule instead of forcing them")
-    parser.add_argument("--seed", type=int, default=None, help="seed for --sample")
+    parser.add_argument("--seed", type=_seed_flag, default=None,
+                        help="non-negative seed for --sample")
 
 
 def _add_threshold_flag(parser: argparse.ArgumentParser) -> None:

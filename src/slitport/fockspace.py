@@ -196,6 +196,42 @@ def _trusted_operator(targets, matrix: np.ndarray, unitary: bool) -> OperatorMat
     return op
 
 
+@dataclass(frozen=True, eq=False)
+class BlockOperator:
+    """Gate on (level register, mode) that conserves n + shifts[level].
+
+    The gate only mixes levels at one excitation number k: level i with
+    k - shifts[i] photons.  ``matrix[k]`` is that d x d block, and there
+    are dim + max(shifts) of them.  Entries of a level whose photon number
+    falls outside the mode's 0..dim-1 are never read, so near the cutoff
+    only the block's rows and columns of the levels present act.
+    """
+
+    target_registers: tuple[str, str]
+    matrix: np.ndarray
+    shifts: tuple[int, ...]
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        shifts = tuple(int(s) for s in self.shifts)
+        if not shifts or m.ndim != 3 or m.shape[1:] != (len(shifts), len(shifts)):
+            raise RegisterError(
+                f"block stack must be (K, d, d) with d = {len(shifts)} shifts, got shape {m.shape}"
+            )
+        if len(self.target_registers) != 2:
+            raise RegisterError(f"blocks target (level, mode), got {self.target_registers}")
+        if min(shifts) < 0:
+            raise RegisterError(f"block shifts must be non-negative, got {shifts}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "target_registers", tuple(self.target_registers))
+
+    def on(self, level: str, mode: str) -> "BlockOperator":
+        """Rebind the same blocks to concrete register names."""
+        return BlockOperator((level, mode), self.matrix, self.shifts)
+
+
 def unitarity_defect(matrix: np.ndarray) -> float:
     m = np.asarray(matrix)
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
@@ -253,23 +289,80 @@ def _unit_column(register: Register, value) -> np.ndarray:
     return column
 
 
-def apply_op(state: CompositeState, op: OperatorMatrix) -> CompositeState:
-    """Contract an operator over its target registers, identity elsewhere."""
+def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator,
+             control: tuple[str, str] | None = None) -> CompositeState:
+    """Apply an operator on its target registers, identity elsewhere.
+
+    ``op`` is a dense OperatorMatrix or a BlockOperator, which is applied
+    block by block.  With ``control=(register name, label)`` it acts only
+    on the slice where that register holds the label: the result of
+    applying ``embed_controlled`` of the operator, without building it.
+    """
     axes = [state.axis(name) for name in op.target_registers]
-    target_dim = int(np.prod([state.registers[a].dim for a in axes], dtype=object))
+    if len(set(axes)) != len(axes):
+        raise RegisterError(f"operator targets {op.target_registers} repeat a register")
+    tens = state.tensor()
+    if control is None:
+        out = np.empty_like(tens)
+        _contract(op, tens, out, axes)
+    else:
+        name, label = control
+        c = state.axis(name)
+        if c in axes:
+            raise RegisterError(f"control register {name} is also a target")
+        where = (slice(None),) * c + (state.registers[c].index(label),)
+        out = tens.copy()
+        _contract(op, tens[where], out[where], [a - (a > c) for a in axes])
+    return CompositeState(state.registers, out.reshape(-1))
+
+
+def _contract(op, src: np.ndarray, dst: np.ndarray, axes: list[int]) -> None:
+    """Write op applied over src's target axes into dst (same shape)."""
+    if isinstance(op, BlockOperator):
+        _contract_blocks(op, src, dst, *axes)
+        return
+    target_dim = int(np.prod([src.shape[a] for a in axes], dtype=object))
     if target_dim != op.dim:
         raise RegisterError(
             f"operator dim {op.dim} does not match target registers (product {target_dim})"
         )
-    n = len(state.registers)
-    rest = [i for i in range(n) if i not in axes]
+    rest = [i for i in range(src.ndim) if i not in axes]
     perm = axes + rest
-    tens = state.tensor().transpose(perm).reshape(target_dim, -1)
-    tens = op.matrix @ tens
-    out_shape = [state.registers[i].dim for i in perm]
-    inverse = np.argsort(perm)
-    amps = tens.reshape(out_shape).transpose(inverse).reshape(-1)
-    return CompositeState(state.registers, amps)
+    tens = op.matrix @ src.transpose(perm).reshape(target_dim, -1)
+    dst[...] = tens.reshape([src.shape[i] for i in perm]).transpose(np.argsort(perm))
+
+
+def _contract_blocks(op: BlockOperator, src: np.ndarray, dst: np.ndarray,
+                     level_axis: int, mode_axis: int) -> None:
+    """dst[i, n] = sum_j matrix[n + s_i, i, j] src[j, n + s_i - s_j], s the shifts.
+
+    Each (i, j) pair is one broadcast multiply over the photon numbers
+    where both levels exist; pairs whose coefficients vanish are skipped.
+    """
+    count, d, _ = op.matrix.shape
+    dim = src.shape[mode_axis]
+    if src.shape[level_axis] != d or dim + max(op.shifts) != count:
+        raise RegisterError(
+            f"blocks {op.matrix.shape} with shifts {op.shifts} do not fit levels "
+            f"({src.shape[level_axis]}) and mode ({dim})"
+        )
+    # one level picked: the mode axis loses a position if it came later
+    m_axis = mode_axis - (mode_axis > level_axis)
+    pick = (slice(None),) * level_axis
+    before = (slice(None),) * m_axis
+    shape = [1] * (src.ndim - 1)
+    for i, si in enumerate(op.shifts):
+        out = dst[pick + (i,)]
+        shape[m_axis] = dim
+        np.multiply(op.matrix[si:si + dim, i, i].reshape(shape), src[pick + (i,)], out=out)
+        for j, sj in enumerate(op.shifts):
+            lo, hi = max(0, sj - si), min(dim, dim + sj - si)
+            coef = op.matrix[lo + si:hi + si, i, j]
+            if j == i or not coef.any():
+                continue
+            shape[m_axis] = hi - lo
+            source = src[pick + (j,)][before + (slice(lo + si - sj, hi + si - sj),)]
+            out[before + (slice(lo, hi),)] += coef.reshape(shape) * source
 
 
 def label_probabilities(state: CompositeState, register: str) -> np.ndarray:

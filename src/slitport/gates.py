@@ -2,7 +2,10 @@
 
 Everything here is a pure function of its parameters.  Gate constructors
 return OperatorMatrix instances bound to placeholder register names; call
-``.on(...)`` to point them at concrete registers.
+``.on(...)`` to point them at concrete registers.  The dispersive and
+resonant gates also come as BlockOperator stacks, one block per
+excitation number: the runner applies those, and the dense matrices are
+their reference.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fockspace import OperatorMatrix, TruncationError
+from .fockspace import BlockOperator, OperatorMatrix, TruncationError
 
 # Raw probability mass allowed above the Fock cutoff.
 TAIL_MASS_LIMIT = 1e-8
@@ -126,6 +129,17 @@ def dispersive_lambda(phi: float, truncation: int) -> OperatorMatrix:
     return OperatorMatrix(("atom", "mode"), m, unitary=True)
 
 
+@lru_cache(maxsize=None)
+def dispersive_blocks(phi: float, truncation: int) -> BlockOperator:
+    """dispersive_lambda as one 3x3 (a, b, c) block per photon number n."""
+    phase = np.exp(1j * phi * np.arange(truncation))
+    m = np.zeros((truncation, 3, 3), dtype=complex)
+    m[:, 0, 0] = -phase
+    m[:, 1, 1] = m[:, 2, 2] = (phase + 1.0) / 2.0
+    m[:, 1, 2] = m[:, 2, 1] = (phase - 1.0) / 2.0
+    return BlockOperator(("atom", "mode"), m, (0, 0, 0))
+
+
 def displacement(beta: complex, truncation: int) -> OperatorMatrix:
     """Displacement exp(beta a† - beta* a) on the truncated space.
 
@@ -174,3 +188,21 @@ def jc_unitary(gt: float, truncation: int) -> OperatorMatrix:
         m[f(k), e(k - 1)] = -1j * math.sin(theta)
     m[e(n - 1), e(n - 1)] = 1.0
     return OperatorMatrix(("probe", "mode"), m, unitary=True)
+
+
+@lru_cache(maxsize=None)
+def jc_blocks(gt: float, truncation: int) -> BlockOperator:
+    """jc_unitary as 2x2 blocks pairing |f, k> with |e, k-1>, k = 0..truncation.
+
+    The blocks at k = 0 (|f, 0> alone) and k = truncation (the frozen
+    |e, truncation-1> alone) are the identity.
+    """
+    if truncation < 2:
+        raise TruncationError("jc_blocks needs truncation >= 2")
+    m = np.zeros((truncation + 1, 2, 2), dtype=complex)
+    m[0] = m[truncation] = np.eye(2)
+    for k in range(1, truncation):
+        theta = gt * math.sqrt(k)
+        m[k] = [[math.cos(theta), -1j * math.sin(theta)],
+                [-1j * math.sin(theta), math.cos(theta)]]
+    return BlockOperator(("probe", "mode"), m, (0, 1))

@@ -176,6 +176,17 @@ def test_paper_rejects_non_finite_alpha(capsys, value):
     assert f"not a finite number: {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["paper", "--sample", "--seed", "-1"],
+    ["run", str(SCENARIO), "--sample", "--seed=-7"],
+])
+def test_negative_seed_is_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_script_rejects_non_finite_literal(capsys, tmp_path):
     script = tmp_path / "inf.qprot"
     script.write_text(SCENARIO.read_text().replace("config alpha 2", "config alpha inf"))

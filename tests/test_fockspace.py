@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slitport.fockspace import (
+    BlockOperator,
     CompositeState,
     ImpossibleOutcomeError,
     OperatorMatrix,
@@ -23,6 +24,7 @@ from slitport.fockspace import (
     reduced_fidelity,
     reorder,
 )
+from slitport.gates import dispersive_blocks, jc_blocks
 
 RNG = np.random.default_rng(20240817)
 
@@ -92,11 +94,26 @@ def test_apply_identity():
 
 
 def test_apply_op_register_mismatch():
-    state = make_state([Register.mode("C1", 5)], {"C1": "0"})
+    regs = [Register.path("p", ("u", "v")), Register.lambda3("A1"), Register.mode("C1", 5)]
+    state = make_state(regs, {"p": "u", "A1": "b", "C1": "0"})
     with pytest.raises(RegisterError):
         apply_op(state, OperatorMatrix(("C2",), np.eye(5)))
     with pytest.raises(RegisterError):
         apply_op(state, OperatorMatrix(("C1",), np.eye(4)))
+    # two-level blocks on a three-level atom
+    with pytest.raises(RegisterError, match="do not fit"):
+        apply_op(state, jc_blocks(0.3, 5).on("A1", "C1"))
+    # blocks for a 4-photon cutoff on a 5-photon mode
+    with pytest.raises(RegisterError, match="do not fit"):
+        apply_op(state, dispersive_blocks(0.3, 4).on("A1", "C1"))
+    with pytest.raises(RegisterError, match="unknown label"):
+        apply_op(state, dispersive_blocks(0.3, 5).on("A1", "C1"), ("p", "w"))
+    with pytest.raises(RegisterError, match="also a target"):
+        apply_op(state, dispersive_blocks(0.3, 5).on("A1", "C1"), ("A1", "b"))
+    with pytest.raises(RegisterError, match="repeat a register"):
+        apply_op(state, OperatorMatrix(("C1", "C1"), np.eye(25)))
+    with pytest.raises(RegisterError, match="must be"):
+        BlockOperator(("A1", "C1"), np.zeros((5, 3, 2)), (0, 0, 0))
 
 
 def test_apply_op_non_adjacent_targets():

@@ -2,14 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slitport.fockspace import TruncationError, unitarity_defect
+from slitport.fockspace import (
+    CompositeState,
+    Register,
+    TruncationError,
+    apply_op,
+    embed_controlled,
+    unitarity_defect,
+)
 from slitport.gates import (
     cat_state,
     coherent_amplitudes,
     coherent_tail_mass,
+    dispersive_blocks,
     dispersive_lambda,
     displacement,
+    jc_blocks,
     jc_unitary,
     parity_phase,
     pi_projector,
@@ -271,3 +282,58 @@ def test_jc_excited_probability_against_sum():
     expected = float(np.sum(weights * np.sin(gt * np.sqrt(np.arange(n))) ** 2))
     assert p_excited == pytest.approx(expected, abs=1e-12)
     assert p_excited >= 0.9
+
+
+# --- photon-number blocks against the dense gates ---
+
+
+def _spread_order(order) -> bool:
+    # the mode never sits next to the atom or the probe it couples to
+    at = {name: i for i, name in enumerate(order)}
+    return abs(at["C"] - at["A"]) > 1 and abs(at["C"] - at["Q"]) > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    phi=st.floats(-2 * math.pi, 2 * math.pi),
+    gt=st.floats(0.0, 3.0),
+    dim=st.integers(2, 24),
+    order=st.permutations(["P", "A", "Q", "C", "S"]).filter(_spread_order),
+    label=st.sampled_from(["s1", "s2", "s3"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_match_dense_gates(phi, gt, dim, order, label, seed):
+    registers = {
+        "P": Register.path("P", ("s1", "s2", "s3")),
+        "A": Register.lambda3("A"),
+        "Q": Register.qubit2("Q"),
+        "C": Register.mode("C", dim),
+        "S": Register.path("S", ("u", "v")),
+    }
+    regs = (Register("input basis", "basis", ("b", "c")),) + tuple(registers[n] for n in order)
+    rng = np.random.default_rng(seed)
+    shape = [r.dim for r in regs]
+    tens = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # weight on |e, dim-1>, the level the resonant gate holds fixed
+    edge = [slice(None)] * len(regs)
+    edge[1 + order.index("Q")] = 1
+    edge[1 + order.index("C")] = dim - 1
+    tens[tuple(edge)] += 3.0
+    state = CompositeState(regs, tens / np.linalg.norm(tens))
+
+    dense = embed_controlled(registers["P"], label, dispersive_lambda(phi, dim).on("A", "C"))
+    want = apply_op(state, dense).amplitudes
+    have = apply_op(state, dispersive_blocks(phi, dim).on("A", "C"), ("P", label)).amplitudes
+    assert np.max(np.abs(have - want)) < 1e-12
+
+    want = apply_op(state, jc_unitary(gt, dim).on("Q", "C")).amplitudes
+    have = apply_op(state, jc_blocks(gt, dim).on("Q", "C")).amplitudes
+    assert np.max(np.abs(have - want)) < 1e-12
+
+    dense = embed_controlled(registers["P"], label, jc_unitary(gt, dim).on("Q", "C"))
+    want = apply_op(state, dense).amplitudes
+    have = apply_op(state, jc_blocks(gt, dim).on("Q", "C"), ("P", label)).amplitudes
+    assert np.max(np.abs(have - want)) < 1e-12
+    # a dense operator takes the control slice too
+    have = apply_op(state, jc_unitary(gt, dim).on("Q", "C"), ("P", label)).amplitudes
+    assert np.max(np.abs(have - want)) < 1e-12
