@@ -106,6 +106,75 @@ def test_parse_collects_all_errors_and_keeps_good_lines():
     assert len(err.value.errors) == 4
 
 
+# one malformed line of each form for every keyword, with its exact message
+MALFORMED = [
+    ("config cb", "expected 'config key value'"),
+    ("config omega 5", "unknown config key 'omega' (valid: cb, cc, alpha, truncation, gt)"),
+    ("config cb $cc", "config values define parameters and cannot reference them"),
+    ("config cb x", "not a number: 'x'"),
+    ("config truncation 1.5", "not an integer: '1.5'"),
+    ("config gt pi/0", "bad angle 'pi/0', expected pi/<positive int>"),
+    ("cavity C1 alpha", "expected 'cavity ID alpha NUM [truncation INT]'"),
+    ("cavity C1 beta 2", "expected 'cavity ID alpha NUM [truncation INT]'"),
+    ("cavity C1 alpha 2 trunc 48", "expected 'cavity ID alpha NUM [truncation INT]'"),
+    ("cavity 1C alpha 2", "bad cavity id '1C'"),
+    ("cavity C1 alpha x", "not a number: 'x'"),
+    ("cavity C1 alpha 2 truncation 2.5", "not an integer: '2.5'"),
+    ("cavity C1 alpha $beta", "unknown parameter '$beta' (valid: cb, cc, alpha, truncation, gt)"),
+    ("atom A lambda3 state", "expected 'atom ID (lambda3|qubit2) state LABEL'"),
+    ("atom A lambda4 state b", "atom kind must be lambda3 or qubit2, got 'lambda4'"),
+    ("atom A lambda3 stat b", "expected 'atom ID (lambda3|qubit2) state LABEL'"),
+    ("atom 1A lambda3 state b", "bad atom id '1A'"),
+    ("atom A lambda3 state 1b", "bad state label '1b'"),
+    ("screen S s1", "expected 'screen ID SLIT1 SLIT2'"),
+    ("screen 1S s1 s2", "bad screen id '1S'"),
+    ("screen S s1 2s", "bad slit label '2s'"),
+    ("screen S s1 s1", "screen slits must have distinct labels"),
+    ("bind s1", "expected 'bind SLIT CAVITY'"),
+    ("bind 1s C1", "bad slit label '1s'"),
+    ("bind s1 1C", "bad cavity id '1C'"),
+    ("kernel K", "expected 'kernel ID [..matrix..]'"),
+    ("kernel 1K [1]", "bad kernel id '1K'"),
+    ("kernel K 1 0", "matrix literal must be bracketed, like [1 0; 0 1]"),
+    ("kernel K [1 0; 1]", "matrix rows have unequal lengths"),
+    ("kernel K [1; ]", "matrix row is empty"),
+    ("kernel K [x]", "not a number: 'x'"),
+    ("split A", "expected 'split ATOM SCREEN'"),
+    ("split 1A S", "bad atom id '1A'"),
+    ("split A 1S", "bad screen id '1S'"),
+    ("pass A S phi", "expected 'pass ATOM SCREEN phi ANGLE'"),
+    ("pass A S theta pi", "expected 'pass ATOM SCREEN phi ANGLE'"),
+    ("pass 1A S phi pi", "bad atom id '1A'"),
+    ("pass A 1S phi pi", "bad screen id '1S'"),
+    ("pass A S phi pi/x", "bad angle 'pi/x', expected pi/<positive int>"),
+    ("pass A S phi 1i", "angle must be real, got '1i'"),
+    ("pass A S phi $phi", "unknown parameter '$phi' (valid: cb, cc, alpha, truncation, gt)"),
+    ("detect A internal", "expected 'detect ATOM (internal|position) LABEL'"),
+    ("detect A spin b", "detect mode must be 'internal' or 'position'"),
+    ("detect 1A internal b", "bad atom id '1A'"),
+    ("detect A position 1b", "bad label '1b'"),
+    ("propagate A", "expected 'propagate ATOM KERNEL'"),
+    ("propagate 1A K", "bad atom id '1A'"),
+    ("propagate A 1K", "bad kernel id '1K'"),
+    ("inject C1", "expected 'inject CAVITY NUM'"),
+    ("inject 1C 2", "bad cavity id '1C'"),
+    ("inject C1 x", "not a number: 'x'"),
+    ("jcpass P C1 gt", "expected 'jcpass ATOM CAVITY gt ANGLE'"),
+    ("jcpass P C1 phi pi", "expected 'jcpass ATOM CAVITY gt ANGLE'"),
+    ("jcpass 1P C1 gt pi", "bad atom id '1P'"),
+    ("jcpass P 1C gt pi", "bad cavity id '1C'"),
+    ("jcpass P C1 gt pi/0", "bad angle 'pi/0', expected pi/<positive int>"),
+    ("checkpoint", "expected 'checkpoint NAME'"),
+    ("checkpoint 1X", "bad checkpoint name '1X'"),
+    ("warp A1", "unknown command 'warp'"),
+]
+
+
+@pytest.mark.parametrize("line,message", MALFORMED)
+def test_malformed_line_message(line, message):
+    assert parse_lenient(line)[1] == [(1, message)]
+
+
 def test_comments_and_blank_lines_ignored():
     script = parse("# nothing\n\n   \ncavity C1 alpha 1 # trailing\n")
     assert len(script.commands) == 1
@@ -137,6 +206,77 @@ def test_pi_stays_symbolic():
     assert "phi pi" in serialize(parse("pass A1 SC1 phi pi"))
     assert "gt pi/8" in serialize(parse("jcpass A5 C1 gt pi/8"))
     assert "$alpha" in serialize(parse("inject C1 $alpha"))
+
+
+def test_reference_script_is_canonical():
+    # the shipped scenario's command lines are exactly its canonical text
+    commands = [line for line in REFERENCE_SCRIPT.splitlines() if line.split("#")[0].strip()]
+    assert serialize(parse(REFERENCE_SCRIPT)) == "".join(line + "\n" for line in commands)
+
+
+def test_canonical_text_of_every_form():
+    text = """\
+config cb 0.60  # comment
+config cc 0.8i
+config alpha 1.50
+config truncation 040
+config gt pi
+cavity C1 alpha $alpha
+cavity C2   alpha 0.5-0.25i truncation $truncation
+cavity C3 alpha 2 truncation 48
+atom A lambda3 state input
+atom P qubit2 state f
+screen S s1 s2
+bind s1 C1
+bind s2 C2
+kernel S [ 0.5 0.5i ;-0.5   5e-1]
+kernel det [1 0]
+split A S
+pass A S phi pi/4
+pass A S phi 0.250
+pass A S phi $gt
+detect A internal b
+propagate A S
+propagate A det
+detect A position det
+inject C1 $alpha
+inject C2 -0.50i
+jcpass P C1 gt $gt
+jcpass P C2 gt pi/8
+jcpass P C3 gt 1e-1
+checkpoint FINAL
+"""
+    assert serialize(parse(text)) == """\
+config cb 0.59999999999999998
+config cc 0.80000000000000004i
+config alpha 1.5
+config truncation 40
+config gt pi
+cavity C1 alpha $alpha
+cavity C2 alpha 0.5-0.25i truncation $truncation
+cavity C3 alpha 2 truncation 48
+atom A lambda3 state input
+atom P qubit2 state f
+screen S s1 s2
+bind s1 C1
+bind s2 C2
+kernel S [0.5 0.5i; -0.5 0.5]
+kernel det [1 0]
+split A S
+pass A S phi pi/4
+pass A S phi 0.25
+pass A S phi $gt
+detect A internal b
+propagate A S
+propagate A det
+detect A position det
+inject C1 $alpha
+inject C2 -0.5i
+jcpass P C1 gt $gt
+jcpass P C2 gt pi/8
+jcpass P C3 gt 0.10000000000000001
+checkpoint FINAL
+"""
 
 
 def test_numbers_canonicalized():
