@@ -21,7 +21,7 @@ from pathlib import Path
 from . import protocol, script
 from .fockspace import ImpossibleOutcomeError
 from .gates import tail_bound_dim
-from .numformat import fmt_real, parse_complex, parse_real
+from .numformat import fmt_real, parse_real
 from .protocol import ProtocolError, RunReport, canonical_json, run_batch, run_protocol
 from .scenario import REFERENCE_SCRIPT
 from .script import ScriptError
@@ -32,53 +32,47 @@ EXIT_INPUT = 2
 EXIT_IMPOSSIBLE = 3
 
 
-def _angle(text: str) -> float:
-    return script._parse_angle(text).resolve({})
+def _flag(parse, *args):
+    """An argparse type from a value parser: its ValueError exits 2 with the message."""
+    def convert(text: str):
+        try:
+            return parse(*args, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _complex_flag(text: str) -> complex:
-    try:
-        return parse_complex(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _real_flag(text: str) -> float:
-    try:
-        return parse_real(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _seed_flag(text: str) -> int:
+def _seed(text: str) -> int:
     try:
         seed = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
     if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return seed
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cb", type=_complex_flag, default=None,
+    # each parameter flag parses as a config line's value does
+    parser.add_argument("--cb", type=_flag(script.parse_param, "cb"), default=None,
                         help="input amplitude on |b> (complex literal, e.g. 0.6 or 0.5-0.5i)")
-    parser.add_argument("--cc", type=_complex_flag, default=None,
+    parser.add_argument("--cc", type=_flag(script.parse_param, "cc"), default=None,
                         help="input amplitude on |c>")
-    parser.add_argument("--alpha", type=_complex_flag, default=None,
+    parser.add_argument("--alpha", type=_flag(script.parse_param, "alpha"), default=None,
                         help="cavity coherent amplitude")
-    parser.add_argument("--truncation", type=int, default=None, help="Fock cutoff dimension")
-    parser.add_argument("--gt", type=_angle, default=None,
+    parser.add_argument("--truncation", type=_flag(script.parse_param, "truncation"),
+                        default=None, help="Fock cutoff dimension")
+    parser.add_argument("--gt", type=_flag(script.parse_param, "gt"), default=None,
                         help="probe Rabi angle (number, pi, or pi/N)")
     parser.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
     parser.add_argument("--sample", action="store_true",
                         help="draw detection outcomes from the Born rule instead of forcing them")
-    parser.add_argument("--seed", type=_seed_flag, default=None,
+    parser.add_argument("--seed", type=_flag(_seed), default=None,
                         help="non-negative seed for --sample")
 
 
 def _add_threshold_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-fidelity", type=_real_flag, default=0.0,
+    parser.add_argument("--min-fidelity", type=_flag(parse_real), default=0.0,
                         help="exit nonzero when the final fidelity falls below this")
 
 
@@ -108,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    keys = ("cb", "cc", "alpha", "truncation", "gt")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in script.PARAM_NAMES if getattr(args, k, None) is not None}
 
 
 def _load_script(path: str) -> script.ProtocolScript:
@@ -204,7 +197,7 @@ def _sweep_overrides(param: str, value: float, args: argparse.Namespace) -> dict
         if args.truncation is None:
             # injections double the reach; size the cutoff for the swept value
             overrides["truncation"] = max(
-                protocol.DEFAULT_TRUNCATION, tail_bound_dim(2 * abs(value))
+                protocol.RunInputs.truncation, tail_bound_dim(2 * abs(value))
             )
     elif param == "gt":
         overrides["gt"] = float(value)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,10 +51,6 @@ from .gates import (
 from .numformat import fmt_complex, fmt_real
 
 INJECTION_TAIL_LIMIT = 1e-8
-
-DEFAULT_ALPHA = 2.0
-DEFAULT_TRUNCATION = 64
-DEFAULT_GT = math.pi / 8
 
 
 class ProtocolError(RuntimeError):
@@ -167,19 +163,29 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class RunInputs:
-    """Teleportation input amplitudes and field parameters."""
+    """Teleportation input amplitudes and field parameters.
+
+    The one definition of the run parameters: their names, defaults and
+    types.  Values are normalized to these types on construction.
+    """
 
     cb: complex = 1.0 / math.sqrt(2.0)
     cc: complex = 1.0 / math.sqrt(2.0)
-    alpha: complex = DEFAULT_ALPHA
-    truncation: int = DEFAULT_TRUNCATION
-    gt: float = DEFAULT_GT
+    alpha: complex = 2.0
+    truncation: int = 64
+    gt: float = math.pi / 8
 
     def __post_init__(self):
-        for name in ("cb", "cc", "alpha", "gt"):
+        for name, kind in (("cb", complex), ("cc", complex), ("alpha", complex), ("gt", float)):
             value = getattr(self, name)
-            if not cmath.isfinite(value):
+            normalized = kind(value)
+            if not cmath.isfinite(normalized):
                 raise ValueError(f"{name} must be a finite number, got {value}")
+            object.__setattr__(self, name, normalized)
+        truncation = int(self.truncation)
+        if truncation != self.truncation:
+            raise ValueError(f"truncation must be an integer, got {self.truncation}")
+        object.__setattr__(self, "truncation", truncation)
         deviation = abs(abs(self.cb) ** 2 + abs(self.cc) ** 2 - 1.0)
         if deviation > 1e-9:
             raise ValueError(
@@ -190,13 +196,7 @@ class RunInputs:
             raise ValueError("truncation must be at least 2")
 
     def to_dict(self) -> dict:
-        return {
-            "cb": complex(self.cb),
-            "cc": complex(self.cc),
-            "alpha": complex(self.alpha),
-            "truncation": int(self.truncation),
-            "gt": float(self.gt),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -208,13 +208,7 @@ class StepRecord:
     checkpoint_fidelity: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "outcome": self.outcome,
-            "probability": self.probability,
-            "checkpoint_fidelity": self.checkpoint_fidelity,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -589,6 +583,8 @@ def run_protocol(
     and track its probability.  With sample=True outcomes are drawn from
     the Born rule using the seeded generator instead.
     """
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return _Runner([inputs], sample, seed).run(list(instructions))[0]
 
 

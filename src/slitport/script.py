@@ -1,20 +1,8 @@
 """Line-oriented protocol scripts: parse, validate, canonically serialize.
 
-One command per line, ``#`` comments, whitespace-separated tokens:
-
-    config    key value                      # run-parameter default
-    cavity    ID alpha NUM [truncation INT]  # field mode in a coherent state
-    atom      ID (lambda3|qubit2) state LABEL
-    screen    ID SLIT1 SLIT2
-    bind      SLIT CAVITY
-    kernel    ID [Z Z; Z Z]                  # propagation amplitudes, rows=targets
-    split     ATOM SCREEN
-    pass      ATOM SCREEN phi ANGLE
-    detect    ATOM (internal|position) LABEL
-    propagate ATOM KERNEL
-    inject    CAVITY NUM
-    jcpass    ATOM CAVITY gt ANGLE
-    checkpoint NAME
+One command per line, ``#`` comments, whitespace-separated tokens.
+``SYNTAX`` holds each keyword's usage line; the parser, the serializer and
+the message for a malformed line all read it.
 
 Angles admit exact symbolic forms (``pi``, ``pi/8``).  Number slots also
 accept ``$name`` references to the run parameters (alpha, truncation, gt,
@@ -31,18 +19,38 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import protocol
 from .gates import tail_bound_dim
 from .numformat import fmt_complex, fmt_real, parse_complex
 from .oracle import CHECKPOINTS
 
-PARAM_NAMES = ("cb", "cc", "alpha", "truncation", "gt")
-KEYWORDS = (
-    "config", "cavity", "atom", "screen", "bind", "kernel",
-    "split", "pass", "detect", "propagate", "inject", "jcpass", "checkpoint",
-)
+# Each keyword's usage line.  A lower-case word is a literal, (a|b) a choice
+# and a [...] tail optional.  NUM, INT, ANGLE and MATRIX are value slots; a
+# MATRIX takes the rest of the line.  Any other upper-case word is an
+# identifier.  A config line's value slot is its key's (see parse_param).
+SYNTAX = {
+    "config": "config key value",
+    "cavity": "cavity ID alpha NUM [truncation INT]",
+    "atom": "atom ID (lambda3|qubit2) state LABEL",
+    "screen": "screen ID SLIT1 SLIT2",
+    "bind": "bind SLIT CAVITY",
+    "kernel": "kernel ID MATRIX",
+    "split": "split ATOM SCREEN",
+    "pass": "pass ATOM SCREEN phi ANGLE",
+    "detect": "detect ATOM (internal|position) LABEL",
+    "propagate": "propagate ATOM KERNEL",
+    "inject": "inject CAVITY NUM",
+    "jcpass": "jcpass ATOM CAVITY gt ANGLE",
+    "checkpoint": "checkpoint NAME",
+}
+KEYWORDS = tuple(SYNTAX)
+# each run parameter's value slot, from its type in RunInputs (a string there,
+# since protocol postpones the evaluation of annotations)
+_PARAM_SLOTS = {field.name: {"complex": "NUM", "int": "INT", "float": "ANGLE"}[field.type]
+                for field in fields(protocol.RunInputs)}
+PARAM_NAMES = tuple(_PARAM_SLOTS)
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -78,6 +86,10 @@ class Angle:
             return math.pi / int(self.value)
         return float(_resolve_number(ParamRef(str(self.value)), params).real)
 
+    def __float__(self) -> float:
+        """A literal angle's value; config lines and flags give no $parameter."""
+        return self.resolve({})
+
     def __str__(self) -> str:
         if self.kind == "value":
             return fmt_real(float(self.value))
@@ -93,9 +105,6 @@ class Command:
     line: int
     keyword: str
     args: tuple
-
-    def render(self) -> str:
-        return serialize_command(self)
 
 
 @dataclass(frozen=True)
@@ -149,12 +158,6 @@ def _parse_angle(token: str) -> Angle:
     return Angle("value", value.real)
 
 
-def _parse_ident(token: str, what: str) -> str:
-    if not _IDENT_RE.match(token):
-        raise ValueError(f"bad {what} {token!r}")
-    return token
-
-
 def _parse_matrix(text: str) -> tuple:
     text = text.strip()
     if not text.startswith("[") or not text.endswith("]"):
@@ -173,8 +176,66 @@ def _parse_matrix(text: str) -> tuple:
     return tuple(rows)
 
 
-def _split_line(raw: str) -> list[str]:
-    return raw.split("#", 1)[0].split()
+_SLOTS = {"NUM": _parse_number, "INT": _parse_int, "ANGLE": _parse_angle, "MATRIX": _parse_matrix}
+# how a message names an identifier slot
+_IDENT_ROLES = {"ID": "{keyword} id", "NAME": "{keyword} name", "SLIT": "slit label",
+                "LABEL": "label"}
+
+
+def _grammar(usage: str) -> tuple[list[str], list[str]]:
+    """A usage line's words after the keyword: the required ones, then all."""
+    head, _, tail = usage.partition("[")
+    required = head.split()[1:]
+    return required, required + tail.rstrip("]").split()
+
+
+_GRAMMAR = {keyword: _grammar(usage) for keyword, usage in SYNTAX.items()}
+_LITERALS = {word for _, words in _GRAMMAR.values() for word in words
+             if word.isalpha() and word.islower()}
+
+
+def parse_param(name: str, token: str):
+    """Run parameter ``name``'s value as a config line or command-line flag gives it."""
+    if name not in PARAM_NAMES:
+        raise ValueError(f"unknown config key {name!r} (valid: {', '.join(PARAM_NAMES)})")
+    if token.startswith("$"):
+        raise ValueError("config values define parameters and cannot reference them")
+    return _SLOTS[_PARAM_SLOTS[name]](token)
+
+
+def _parse_slot(keyword: str, word: str, token: str):
+    if word.startswith("("):
+        choices = word[1:-1].split("|")
+        if token not in choices:
+            raise ValueError(f"expected {' or '.join(choices)}, got {token!r}")
+        return token
+    if word in _SLOTS:
+        return _SLOTS[word](token)
+    if not _IDENT_RE.match(token):
+        role = _IDENT_ROLES.get(word.rstrip("0123456789"), word.lower() + " id")
+        raise ValueError(f"bad {role.format(keyword=keyword)} {token!r}")
+    return token
+
+
+def _parse_args(keyword: str, tokens: list[str]) -> tuple:
+    usage = SYNTAX[keyword]
+    if keyword == "config":
+        if len(tokens) != 2:
+            raise ValueError(f"expected '{usage}'")
+        return (tokens[0], parse_param(*tokens))
+    required, words = _GRAMMAR[keyword]
+    if words[-1] == "MATRIX" and len(tokens) > len(words):
+        tokens = tokens[:len(words) - 1] + [" ".join(tokens[len(words) - 1:])]
+    if len(tokens) not in (len(required), len(words)) or any(
+            word in _LITERALS and word != token for word, token in zip(words, tokens)):
+        raise ValueError(f"expected '{usage}'")
+    args = [_parse_slot(keyword, word, token)
+            for word, token in zip(words, tokens) if word not in _LITERALS]
+    # an absent optional tail leaves its values None
+    args += [None for word in words[len(tokens):] if word not in _LITERALS]
+    if keyword == "screen" and args[1] == args[2]:
+        raise ValueError("screen slits must have distinct labels")
+    return tuple(args)
 
 
 def parse_lenient(text: str) -> tuple[ProtocolScript, list[tuple[int, str]]]:
@@ -185,15 +246,14 @@ def parse_lenient(text: str) -> tuple[ProtocolScript, list[tuple[int, str]]]:
     commands: list[Command] = []
     errors: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _split_line(raw)
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         keyword = tokens[0]
         try:
             if keyword not in KEYWORDS:
                 raise ValueError(f"unknown command {keyword!r}")
-            args = _parse_args(keyword, tokens[1:], raw)
-            commands.append(Command(lineno, keyword, args))
+            commands.append(Command(lineno, keyword, _parse_args(keyword, tokens[1:])))
         except ValueError as exc:
             errors.append((lineno, str(exc)))
     return ProtocolScript(tuple(commands)), errors
@@ -207,133 +267,27 @@ def parse(text: str) -> ProtocolScript:
     return parsed
 
 
-def _expect(tokens: list[str], count: int, usage: str) -> None:
-    if len(tokens) != count:
-        raise ValueError(f"expected '{usage}'")
-
-
-def _parse_args(keyword: str, tokens: list[str], raw: str) -> tuple:
-    if keyword == "config":
-        _expect(tokens, 2, "config key value")
-        key = tokens[0]
-        if key not in PARAM_NAMES:
-            raise ValueError(f"unknown config key {key!r} (valid: {', '.join(PARAM_NAMES)})")
-        if tokens[1].startswith("$"):
-            raise ValueError("config values define parameters and cannot reference them")
-        if key == "truncation":
-            return (key, _parse_int(tokens[1]))
-        if key == "gt":
-            return (key, _parse_angle(tokens[1]))
-        return (key, parse_complex(tokens[1]))
-    if keyword == "cavity":
-        if len(tokens) == 3 and tokens[1] == "alpha":
-            return (_parse_ident(tokens[0], "cavity id"), _parse_number(tokens[2]), None)
-        if len(tokens) == 5 and tokens[1] == "alpha" and tokens[3] == "truncation":
-            return (_parse_ident(tokens[0], "cavity id"), _parse_number(tokens[2]),
-                    _parse_int(tokens[4]))
-        raise ValueError("expected 'cavity ID alpha NUM [truncation INT]'")
-    if keyword == "atom":
-        _expect(tokens, 4, "atom ID (lambda3|qubit2) state LABEL")
-        if tokens[1] not in ("lambda3", "qubit2"):
-            raise ValueError(f"atom kind must be lambda3 or qubit2, got {tokens[1]!r}")
-        if tokens[2] != "state":
-            raise ValueError("expected 'atom ID (lambda3|qubit2) state LABEL'")
-        return (_parse_ident(tokens[0], "atom id"), tokens[1],
-                _parse_ident(tokens[3], "state label"))
-    if keyword == "screen":
-        _expect(tokens, 3, "screen ID SLIT1 SLIT2")
-        slits = (_parse_ident(tokens[1], "slit label"), _parse_ident(tokens[2], "slit label"))
-        if slits[0] == slits[1]:
-            raise ValueError("screen slits must have distinct labels")
-        return (_parse_ident(tokens[0], "screen id"),) + slits
-    if keyword == "bind":
-        _expect(tokens, 2, "bind SLIT CAVITY")
-        return (_parse_ident(tokens[0], "slit label"), _parse_ident(tokens[1], "cavity id"))
-    if keyword == "kernel":
-        if len(tokens) < 2:
-            raise ValueError("expected 'kernel ID [..matrix..]'")
-        name = _parse_ident(tokens[0], "kernel id")
-        matrix_text = raw.split("#", 1)[0].split(None, 2)[2]
-        return (name, _parse_matrix(matrix_text))
-    if keyword == "split":
-        _expect(tokens, 2, "split ATOM SCREEN")
-        return (_parse_ident(tokens[0], "atom id"), _parse_ident(tokens[1], "screen id"))
-    if keyword == "pass":
-        _expect(tokens, 4, "pass ATOM SCREEN phi ANGLE")
-        if tokens[2] != "phi":
-            raise ValueError("expected 'pass ATOM SCREEN phi ANGLE'")
-        return (_parse_ident(tokens[0], "atom id"), _parse_ident(tokens[1], "screen id"),
-                _parse_angle(tokens[3]))
-    if keyword == "detect":
-        _expect(tokens, 3, "detect ATOM (internal|position) LABEL")
-        if tokens[1] not in ("internal", "position"):
-            raise ValueError("detect mode must be 'internal' or 'position'")
-        return (_parse_ident(tokens[0], "atom id"), tokens[1],
-                _parse_ident(tokens[2], "label"))
-    if keyword == "propagate":
-        _expect(tokens, 2, "propagate ATOM KERNEL")
-        return (_parse_ident(tokens[0], "atom id"), _parse_ident(tokens[1], "kernel id"))
-    if keyword == "inject":
-        _expect(tokens, 2, "inject CAVITY NUM")
-        return (_parse_ident(tokens[0], "cavity id"), _parse_number(tokens[1]))
-    if keyword == "jcpass":
-        _expect(tokens, 4, "jcpass ATOM CAVITY gt ANGLE")
-        if tokens[2] != "gt":
-            raise ValueError("expected 'jcpass ATOM CAVITY gt ANGLE'")
-        return (_parse_ident(tokens[0], "atom id"), _parse_ident(tokens[1], "cavity id"),
-                _parse_angle(tokens[3]))
-    # checkpoint
-    _expect(tokens, 1, "checkpoint NAME")
-    return (_parse_ident(tokens[0], "checkpoint name"),)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _render_number(value) -> str:
-    if isinstance(value, ParamRef):
-        return str(value)
-    return fmt_complex(value)
+def _render(value) -> str:
+    if isinstance(value, tuple):  # a matrix
+        return "[" + "; ".join(" ".join(map(fmt_complex, row)) for row in value) + "]"
+    if isinstance(value, complex):
+        return fmt_complex(value)
+    return str(value)
 
 
 def serialize_command(cmd: Command) -> str:
-    k, a = cmd.keyword, cmd.args
-    if k == "config":
-        value = a[1]
-        if isinstance(value, Angle):
-            return f"config {a[0]} {value}"
-        if isinstance(value, int):
-            return f"config {a[0]} {value}"
-        return f"config {a[0]} {fmt_complex(value)}"
-    if k == "cavity":
-        base = f"cavity {a[0]} alpha {_render_number(a[1])}"
-        if a[2] is None:
-            return base
-        trunc = a[2] if isinstance(a[2], ParamRef) else int(a[2])
-        return f"{base} truncation {trunc}"
-    if k == "atom":
-        return f"atom {a[0]} {a[1]} state {a[2]}"
-    if k == "screen":
-        return f"screen {a[0]} {a[1]} {a[2]}"
-    if k == "bind":
-        return f"bind {a[0]} {a[1]}"
-    if k == "kernel":
-        rows = "; ".join(" ".join(fmt_complex(z) for z in row) for row in a[1])
-        return f"kernel {a[0]} [{rows}]"
-    if k == "split":
-        return f"split {a[0]} {a[1]}"
-    if k == "pass":
-        return f"pass {a[0]} {a[1]} phi {a[2]}"
-    if k == "detect":
-        return f"detect {a[0]} {a[1]} {a[2]}"
-    if k == "propagate":
-        return f"propagate {a[0]} {a[1]}"
-    if k == "inject":
-        return f"inject {a[0]} {_render_number(a[1])}"
-    if k == "jcpass":
-        return f"jcpass {a[0]} {a[1]} gt {a[2]}"
-    return f"checkpoint {a[0]}"
+    if cmd.keyword == "config":
+        return f"config {cmd.args[0]} {_render(cmd.args[1])}"
+    required, words = _GRAMMAR[cmd.keyword]
+    if cmd.args[-1] is None:  # no optional tail
+        words = required
+    args = iter(cmd.args)
+    return " ".join([cmd.keyword] + [word if word in _LITERALS else _render(next(args))
+                                     for word in words])
 
 
 def serialize(script: ProtocolScript) -> str:
@@ -354,58 +308,31 @@ def _resolve_number(value, params: dict) -> complex:
 
 
 def _resolve_int(value, params: dict, what: str) -> int:
-    if isinstance(value, ParamRef):
-        resolved = params[value.name]
-        if isinstance(resolved, complex):
-            if resolved.imag != 0 or resolved.real != int(resolved.real):
-                raise ValueError(f"{what}: parameter ${value.name} is not an integer")
-            return int(resolved.real)
-        return int(resolved)
-    return int(value)
+    if not isinstance(value, ParamRef):
+        return int(value)
+    resolved = _resolve_number(value, params)
+    if resolved.imag != 0 or not resolved.real.is_integer():
+        raise ValueError(f"{what}: parameter ${value.name} is not an integer")
+    return int(resolved.real)
 
 
 def resolve_inputs(script: ProtocolScript, overrides: dict | None = None) -> protocol.RunInputs:
     """Effective run parameters: defaults, then config lines, then overrides."""
-    params = {
-        "cb": complex(protocol.RunInputs.cb),
-        "cc": complex(protocol.RunInputs.cc),
-        "alpha": complex(protocol.DEFAULT_ALPHA),
-        "truncation": protocol.DEFAULT_TRUNCATION,
-        "gt": protocol.DEFAULT_GT,
-    }
-    for cmd in script.commands:
-        if cmd.keyword != "config":
-            continue
-        key, value = cmd.args
-        if key == "gt":
-            params["gt"] = value.resolve(params)
-        elif key == "truncation":
-            params["truncation"] = int(value)
-        else:
-            params[key] = complex(value)
+    values = dict(cmd.args for cmd in script.commands if cmd.keyword == "config")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {key!r}")
-        params[key] = value
-    return protocol.RunInputs(
-        cb=complex(params["cb"]),
-        cc=complex(params["cc"]),
-        alpha=complex(params["alpha"]),
-        truncation=int(params["truncation"]),
-        gt=float(params["gt"]),
-    )
+        values[key] = value
+    return protocol.RunInputs(**values)
 
 
 class _Validator:
     def __init__(self, script: ProtocolScript, inputs: protocol.RunInputs):
         self.script = script
         self.inputs = inputs
-        self.params = {
-            "cb": inputs.cb, "cc": inputs.cc, "alpha": inputs.alpha,
-            "truncation": inputs.truncation, "gt": inputs.gt,
-        }
+        self.params = inputs.to_dict()
         self.errors: list[tuple[int, str]] = []
         self.cavities: dict[str, protocol.DeclareCavity] = {}
         self.screens: dict[str, tuple[str, str]] = {}  # screen -> its slits
@@ -458,7 +385,8 @@ class _Validator:
         if trunc < 2:
             self.fail(cmd.line, f"cavity {name}: truncation must be at least 2")
             return
-        self.cavities[name] = protocol.DeclareCavity(name, alpha, trunc, text=cmd.render())
+        self.cavities[name] = protocol.DeclareCavity(name, alpha, trunc,
+                                                     text=serialize_command(cmd))
         self.injections[name] = 0.0
         self.instructions.append(self.cavities[name])
 
@@ -474,7 +402,8 @@ class _Validator:
         self.atom_kind[name] = kind
         self.internal_live[name] = True
         self.path_basis[name] = None
-        self.instructions.append(protocol.DeclareAtom(name, kind, state, text=cmd.render()))
+        self.instructions.append(protocol.DeclareAtom(name, kind, state,
+                                                      text=serialize_command(cmd)))
 
     def _cmd_screen(self, cmd: Command) -> None:
         name, s1, s2 = cmd.args
@@ -538,7 +467,8 @@ class _Validator:
             self.fail(cmd.line, f"atom {atom} is already split")
             return
         self.path_basis[atom] = self.screens[screen]
-        self.instructions.append(protocol.Split(atom, self.screens[screen], text=cmd.render()))
+        self.instructions.append(protocol.Split(atom, self.screens[screen],
+                                                text=serialize_command(cmd)))
 
     def _cmd_pass(self, cmd: Command) -> None:
         atom, screen, phi = cmd.args
@@ -566,7 +496,8 @@ class _Validator:
             self.fail(cmd.line, f"screen {screen}: both slits bind the same cavity")
             return
         self.instructions.append(
-            protocol.CavityPass(atom, bindings, phi.resolve(self.params), text=cmd.render())
+            protocol.CavityPass(atom, bindings, phi.resolve(self.params),
+                                text=serialize_command(cmd))
         )
 
     def _cmd_detect(self, cmd: Command) -> None:
@@ -592,7 +523,7 @@ class _Validator:
                                     f"({', '.join(basis)})")
                 return
             self.path_basis[atom] = None
-        self.instructions.append(protocol.Detect(atom, which, label, text=cmd.render()))
+        self.instructions.append(protocol.Detect(atom, which, label, text=serialize_command(cmd)))
 
     def _cmd_propagate(self, cmd: Command) -> None:
         atom, kernel = cmd.args
@@ -611,7 +542,7 @@ class _Validator:
                                 f"{atom}'s basis has {len(basis)} labels")
             return
         self.path_basis[atom] = spec.target_labels
-        self.instructions.append(protocol.Propagate(atom, spec, text=cmd.render()))
+        self.instructions.append(protocol.Propagate(atom, spec, text=serialize_command(cmd)))
 
     def _cmd_inject(self, cmd: Command) -> None:
         cavity, beta_arg = cmd.args
@@ -620,7 +551,7 @@ class _Validator:
             return
         beta = _resolve_number(beta_arg, self.params)
         self.injections[cavity] += abs(beta)
-        self.instructions.append(protocol.Inject(cavity, beta, text=cmd.render()))
+        self.instructions.append(protocol.Inject(cavity, beta, text=serialize_command(cmd)))
 
     def _cmd_jcpass(self, cmd: Command) -> None:
         atom, cavity, gt = cmd.args
@@ -636,7 +567,7 @@ class _Validator:
             self.fail(cmd.line, f"cavity {cavity!r} is not declared")
             return
         self.instructions.append(
-            protocol.JcPass(atom, cavity, gt.resolve(self.params), text=cmd.render())
+            protocol.JcPass(atom, cavity, gt.resolve(self.params), text=serialize_command(cmd))
         )
 
     def _cmd_checkpoint(self, cmd: Command) -> None:
@@ -645,7 +576,7 @@ class _Validator:
             self.fail(cmd.line, f"unknown checkpoint {name!r}")
             return
         first = not any(isinstance(i, protocol.Checkpoint) for i in self.instructions)
-        self.instructions.append(protocol.Checkpoint(name, text=cmd.render()))
+        self.instructions.append(protocol.Checkpoint(name, text=serialize_command(cmd)))
         if self.inputs.alpha == 0 and first:
             self.fail(cmd.line, f"checkpoint {name}: alpha is 0, so the odd cat "
                                 "|alpha> - |-alpha> vanishes and the cavities cannot record "

@@ -187,6 +187,18 @@ def test_negative_seed_is_rejected_at_parse_time(capsys, argv):
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["paper", "--gt", "$alpha"],
+    ["sweep", "--param", "cb", "--values", "0.5", "--gt", "$cb"],
+    ["paper", "--truncation", "$truncation"],
+])
+def test_parameter_flags_reject_references(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "cannot reference" in capsys.readouterr().err
+
+
 def test_script_rejects_non_finite_literal(capsys, tmp_path):
     script = tmp_path / "inf.qprot"
     script.write_text(SCENARIO.read_text().replace("config alpha 2", "config alpha inf"))

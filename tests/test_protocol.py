@@ -420,6 +420,12 @@ def test_sampled_runs_are_seed_deterministic():
     assert a.cumulative_probability == b.cumulative_probability
 
 
+def test_negative_seed_is_rejected():
+    run = reference_run()
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        run_protocol(run.instructions, run.inputs, sample=True, seed=-1)
+
+
 def test_report_json_schema_and_stability():
     run = reference_run()
     report = run_protocol(run.instructions, run.inputs)
@@ -449,6 +455,14 @@ def test_inputs_must_be_finite(field, value):
     # NaN amplitudes would pass the normalization check, which compares with >
     with pytest.raises(ValueError, match=f"{field} must be a finite number"):
         RunInputs(**{field: value})
+
+
+def test_inputs_are_normalized_to_their_types():
+    inputs = RunInputs(cb=1, cc=0, alpha=2, truncation=64.0, gt=1)
+    assert [type(value) for value in inputs.to_dict().values()] == \
+        [complex, complex, complex, int, float]
+    with pytest.raises(ValueError, match="truncation must be an integer, got 64.5"):
+        RunInputs(truncation=64.5)
 
 
 def test_canonical_json_rendering():

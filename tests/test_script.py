@@ -122,10 +122,10 @@ MALFORMED = [
     ("cavity C1 alpha 2 truncation 2.5", "not an integer: '2.5'"),
     ("cavity C1 alpha $beta", "unknown parameter '$beta' (valid: cb, cc, alpha, truncation, gt)"),
     ("atom A lambda3 state", "expected 'atom ID (lambda3|qubit2) state LABEL'"),
-    ("atom A lambda4 state b", "atom kind must be lambda3 or qubit2, got 'lambda4'"),
+    ("atom A lambda4 state b", "expected lambda3 or qubit2, got 'lambda4'"),
     ("atom A lambda3 stat b", "expected 'atom ID (lambda3|qubit2) state LABEL'"),
     ("atom 1A lambda3 state b", "bad atom id '1A'"),
-    ("atom A lambda3 state 1b", "bad state label '1b'"),
+    ("atom A lambda3 state 1b", "bad label '1b'"),
     ("screen S s1", "expected 'screen ID SLIT1 SLIT2'"),
     ("screen 1S s1 s2", "bad screen id '1S'"),
     ("screen S s1 2s", "bad slit label '2s'"),
@@ -133,7 +133,7 @@ MALFORMED = [
     ("bind s1", "expected 'bind SLIT CAVITY'"),
     ("bind 1s C1", "bad slit label '1s'"),
     ("bind s1 1C", "bad cavity id '1C'"),
-    ("kernel K", "expected 'kernel ID [..matrix..]'"),
+    ("kernel K", "expected 'kernel ID MATRIX'"),
     ("kernel 1K [1]", "bad kernel id '1K'"),
     ("kernel K 1 0", "matrix literal must be bracketed, like [1 0; 0 1]"),
     ("kernel K [1 0; 1]", "matrix rows have unequal lengths"),
@@ -150,7 +150,7 @@ MALFORMED = [
     ("pass A S phi 1i", "angle must be real, got '1i'"),
     ("pass A S phi $phi", "unknown parameter '$phi' (valid: cb, cc, alpha, truncation, gt)"),
     ("detect A internal", "expected 'detect ATOM (internal|position) LABEL'"),
-    ("detect A spin b", "detect mode must be 'internal' or 'position'"),
+    ("detect A spin b", "expected internal or position, got 'spin'"),
     ("detect 1A internal b", "bad atom id '1A'"),
     ("detect A position 1b", "bad label '1b'"),
     ("propagate A", "expected 'propagate ATOM KERNEL'"),
@@ -502,6 +502,12 @@ def test_config_accepts_complex_amplitudes():
     run = resolve(script)
     assert run.inputs.cb == 0.5 - 0.5j
     assert abs(abs(run.inputs.cb) ** 2 + abs(run.inputs.cc) ** 2 - 1) < 1e-9
+
+
+def test_integer_slot_rejects_a_real_parameter():
+    with pytest.raises(ScriptError) as err:
+        resolve(parse("config gt 70.5\ncavity C1 alpha 1 truncation $gt\n"))
+    assert err.value.errors == [(2, "cavity C1: parameter $gt is not an integer")]
 
 
 def test_cavity_complex_alpha():
