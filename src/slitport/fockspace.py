@@ -377,35 +377,51 @@ def label_probabilities(state: CompositeState, register: str) -> np.ndarray:
     return tens.sum(axis=other) if other else tens
 
 
-def project(state: CompositeState, register: str, label: str) -> tuple[CompositeState, float]:
-    """Project one register onto a basis label and renormalize.
+def collapse(state: CompositeState, register: str, label: str) -> tuple[CompositeState, float]:
+    """Detect one register at a basis label and retire it.
 
-    Returns the collapsed state and the squared norm of the projected
-    branch.  Raises ImpossibleOutcomeError when that weight is below
-    1e-14, which signals post-selection of a dead branch.
+    Takes the label's slice, scales it to unit norm in place and returns
+    it without that register, with the squared norm of the branch: one
+    pass over the kept slice.  Raises ImpossibleOutcomeError when that
+    weight is below 1e-14, which signals post-selection of a dead branch.
     """
     axis = state.axis(register)
-    idx = state.registers[axis].index(label)
-    tens = state.tensor()
-    branch = np.take(tens, idx, axis=axis)
-    probability = float(np.sum(np.abs(branch) ** 2))
+    index = state.registers[axis].index(label)
+    branch = np.take(state.tensor(), index, axis=axis).reshape(-1)
+    # squared in abs's own buffer: the bits of np.abs(branch) ** 2, one
+    # slice-sized temporary fewer
+    weights = np.abs(branch)
+    probability = float(np.sum(np.square(weights, out=weights)))
     if probability < IMPOSSIBLE_OUTCOME_THRESHOLD:
         raise ImpossibleOutcomeError(
             f"outcome {label!r} on register {register} has probability "
             f"{probability:.3e}, below {IMPOSSIBLE_OUTCOME_THRESHOLD:g}"
         )
-    collapsed = np.zeros_like(tens)
-    index = [slice(None)] * tens.ndim
-    index[axis] = idx
-    collapsed[tuple(index)] = branch / np.sqrt(probability)
+    branch /= np.sqrt(probability)
+    remaining = state.registers[:axis] + state.registers[axis + 1:]
+    return CompositeState(remaining, branch), probability
+
+
+def project(state: CompositeState, register: str, label: str) -> tuple[CompositeState, float]:
+    """Project one register onto a basis label and renormalize, keeping it.
+
+    The tested reference for ``collapse``: its branch embedded into zeros
+    at the label, so that ``drop_register`` of the result is ``collapse``.
+    """
+    axis = state.axis(register)
+    kept, probability = collapse(state, register, label)
+    collapsed = np.zeros(state.shape, dtype=complex)
+    index = (slice(None),) * axis + (state.registers[axis].index(label),)
+    collapsed[index] = kept.tensor()
     return CompositeState(state.registers, collapsed.reshape(-1)), probability
 
 
 def drop_register(state: CompositeState, register: str) -> CompositeState:
     """Remove a register whose support is a single basis label.
 
-    Valid right after a projection: the register then factors out as a
-    pure basis ket and carries no further information.
+    The tested reference for ``collapse``, applied after ``project``: the
+    register then factors out as a pure basis ket, found by scanning the
+    whole state, and carries no further information.
     """
     axis = state.axis(register)
     tens = state.tensor()
@@ -424,9 +440,13 @@ def drop_register(state: CompositeState, register: str) -> CompositeState:
 
 def extend(state: CompositeState, register: Register, value) -> CompositeState:
     """Tensor a fresh register (label or normalized vector) onto the state."""
-    # appended register varies fastest, so a plain kron keeps the layout
     vec = _unit_column(register, value)
-    return CompositeState(state.registers + (register,), np.kron(state.amplitudes, vec))
+    # the appended register varies fastest: column j of an (N, d) buffer is
+    # amplitudes * vec[j], which is np.kron(amplitudes, vec) bit for bit
+    out = np.empty((state.amplitudes.size, register.dim), dtype=complex)
+    for j, v in enumerate(vec):
+        np.multiply(state.amplitudes, v, out=out[:, j])
+    return CompositeState(state.registers + (register,), out.reshape(-1))
 
 
 def rebase_register(

@@ -27,14 +27,14 @@ from .fockspace import (
     RegisterError,
     TruncationError,
     apply_op,
-    basis_column,
-    drop_register,
+    collapse,
+    drop_register,  # noqa: F401  (perfbench patches it by this module's name)
     embed_controlled,  # noqa: F401  (perfbench patches it by this module's name)
     extend,
     fidelity,  # noqa: F401  (perfbench patches it by this module's name)
     label_probabilities,
     product_fidelity,
-    project,
+    project,  # noqa: F401  (perfbench patches it by this module's name)
     rebase_register,
     reduced_fidelity,
     reorder,  # noqa: F401  (perfbench patches it by this module's name)
@@ -312,8 +312,7 @@ def detect(state: CompositeState, register: str, label: str) -> tuple[CompositeS
     Returns the renormalized remaining state and the squared norm of the
     detected branch; a dead branch raises ImpossibleOutcomeError.
     """
-    projected, probability = project(state, register, label)
-    return drop_register(projected, register), probability
+    return collapse(state, register, label)
 
 
 def propagate(state: CompositeState, atom: str, kernel: Kernel) -> CompositeState:
@@ -508,7 +507,7 @@ class _Runner:
             return
         # a second input atom would make the state quadratic in (cb, cc); its
         # duplicate _BASIS register fails the step and every lane reruns alone
-        halves = [np.kron(self.state.amplitudes, basis_column(register, column))
+        halves = [extend(self.state, register, column).amplitudes
                   for column in ([0.0, 1.0, 0.0], [0.0, 0.0, -1.0])]
         self.state = CompositeState((_BASIS,) + self.state.registers + (register,),
                                     np.concatenate(halves) / math.sqrt(2.0))
@@ -522,7 +521,13 @@ class _Runner:
         label = ins.label
         if self.rng is not None:
             weights = label_probabilities(self.state, register)
-            label = reg.labels[self.rng.choice(reg.dim, p=weights / weights.sum())]
+            total = weights.sum()
+            if total < IMPOSSIBLE_OUTCOME_THRESHOLD:
+                raise ImpossibleOutcomeError(
+                    f"every outcome on register {register} has probability below "
+                    f"{IMPOSSIBLE_OUTCOME_THRESHOLD:g} (total {total:.3e})"
+                )
+            label = reg.labels[self.rng.choice(reg.dim, p=weights / total)]
         self.state, probability = detect(self.state, register, label)
         lanes = self.live()
         probabilities = [probability] * len(lanes)

@@ -335,6 +335,7 @@ class _Validator:
         self.params = inputs.to_dict()
         self.errors: list[tuple[int, str]] = []
         self.cavities: dict[str, protocol.DeclareCavity] = {}
+        self.cavity_line: dict[str, int] = {}
         self.screens: dict[str, tuple[str, str]] = {}  # screen -> its slits
         self.bindings: dict[str, str] = {}  # slit -> cavity
         self.kernels: dict[str, protocol.Kernel] = {}
@@ -387,6 +388,7 @@ class _Validator:
             return
         self.cavities[name] = protocol.DeclareCavity(name, alpha, trunc,
                                                      text=serialize_command(cmd))
+        self.cavity_line[name] = cmd.line
         self.injections[name] = 0.0
         self.instructions.append(self.cavities[name])
 
@@ -587,9 +589,9 @@ class _Validator:
             reach = abs(spec.alpha) + self.injections[name]
             needed = tail_bound_dim(reach)
             if spec.truncation < needed:
-                self.errors.append((0, f"cavity {name}: truncation {spec.truncation} is below "
-                                       f"the tail bound {needed} for amplitude reach "
-                                       f"{fmt_real(reach)}"))
+                self.fail(self.cavity_line[name],
+                          f"cavity {name}: truncation {spec.truncation} is below the tail "
+                          f"bound {needed} for amplitude reach {fmt_real(reach)}")
 
 
 def resolve(script: ProtocolScript, overrides: dict | None = None) -> ResolvedRun:

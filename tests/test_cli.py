@@ -149,6 +149,20 @@ def test_sweep_bad_values(capsys):
     capsys.readouterr()
 
 
+def test_sampled_detection_with_no_possible_outcome_exits_3(capsys, tmp_path):
+    # a zero kernel leaves no flux on any detector label; sampling must fail
+    # as the forced run does, not divide by a zero total weight
+    script = tmp_path / "dead.qprot"
+    script.write_text(SCENARIO.read_text().replace("kernel SC2 [1 0; 0 0]",
+                                                   "kernel SC2 [0 0; 0 0]"))
+    assert main(["run", str(script)]) == 3
+    capsys.readouterr()
+    assert main(["run", str(script), "--sample", "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "every outcome on register A3_path has probability below 1e-14" in err
+    assert "NaN" not in err
+
+
 def test_sweep_gt_zero_records_error(capsys):
     assert main(["sweep", "--param", "gt", "--values", "0"]) == 3
     doc = json.loads(capsys.readouterr().out)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slitport.fockspace import (
+    IMPOSSIBLE_OUTCOME_THRESHOLD,
     BlockOperator,
     CompositeState,
     ImpossibleOutcomeError,
@@ -12,6 +15,7 @@ from slitport.fockspace import (
     RegisterError,
     apply_op,
     basis_column,
+    collapse,
     drop_register,
     embed_controlled,
     extend,
@@ -305,6 +309,106 @@ def test_reorder_preserves_physics():
     _, p_orig = project(state, "A1", "b")
     _, p_swap = project(swapped, "A1", "b")
     assert p_orig == pytest.approx(p_swap, abs=1e-14)
+
+
+# --- collapse and extend against their two-pass and kron references ---
+
+
+@st.composite
+def _registers(draw, min_size: int, max_size: int) -> tuple[Register, ...]:
+    kinds = draw(st.lists(st.sampled_from(["path", "lambda3", "qubit2", "mode"]),
+                          min_size=min_size, max_size=max_size))
+    registers = []
+    for i, kind in enumerate(kinds):
+        name = f"R{i}"
+        if kind == "path":
+            registers.append(Register.path(name, ("u", "v", "w")[:draw(st.integers(2, 3))]))
+        elif kind == "mode":
+            registers.append(Register.mode(name, draw(st.integers(2, 6))))
+        else:
+            registers.append(getattr(Register, kind)(name))
+    return tuple(registers)
+
+
+def _random_state(registers, seed: int, norm: float) -> CompositeState:
+    rng = np.random.default_rng(seed)
+    size = int(np.prod([r.dim for r in registers]))
+    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return CompositeState(registers, norm * vec / np.linalg.norm(vec))
+
+
+def _two_pass_detection(state: CompositeState, register: str, label: str):
+    """Detection as a zeroed full-size projection, then drop_register."""
+    axis = state.axis(register)
+    tens = state.tensor()
+    index = (slice(None),) * axis + (state.registers[axis].index(label),)
+    probability = float(np.sum(np.abs(tens[index]) ** 2))
+    projected = np.zeros_like(tens)
+    projected[index] = tens[index] / np.sqrt(probability)
+    return drop_register(CompositeState(state.registers, projected), register), probability
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    registers=_registers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    norm=st.sampled_from([1.0, 0.8, 0.3]),
+    pick=st.integers(0, 4),
+    label_pick=st.integers(0, 5),
+    dead=st.sampled_from([None, 0.0, 1e-8]),
+)
+def test_collapse_is_project_then_drop_register(registers, seed, norm, pick, label_pick, dead):
+    reg = registers[pick % len(registers)]
+    label = reg.labels[label_pick % reg.dim]
+    state = _random_state(registers, seed, norm)
+    if dead is not None:
+        # scale the label's slice below the threshold: a dead branch
+        tens = state.tensor().copy()
+        tens[(slice(None),) * state.axis(reg.name) + (reg.index(label),)] *= dead
+        state = CompositeState(registers, tens)
+        with pytest.raises(ImpossibleOutcomeError) as fused:
+            collapse(state, reg.name, label)
+        with pytest.raises(ImpossibleOutcomeError) as reference:
+            project(state, reg.name, label)
+        assert str(fused.value) == str(reference.value)
+        assert f"below {IMPOSSIBLE_OUTCOME_THRESHOLD:g}" in str(fused.value)
+        return
+    kept, probability = collapse(state, reg.name, label)
+    projected, p_project = project(state, reg.name, label)
+    dropped = drop_register(projected, reg.name)
+    two_pass, p_two_pass = _two_pass_detection(state, reg.name, label)
+    assert kept.registers == dropped.registers == two_pass.registers
+    assert kept.registers == tuple(r for r in registers if r is not reg)
+    assert np.array_equal(kept.amplitudes, dropped.amplitudes)
+    assert np.array_equal(kept.amplitudes, two_pass.amplitudes)
+    assert probability == p_project == p_two_pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    registers=_registers(0, 4),
+    new=_registers(1, 1),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sets(st.integers(0, 5), max_size=3),
+    label_pick=st.one_of(st.none(), st.integers(0, 5)),
+)
+def test_extend_is_kron(registers, new, seed, zeros, label_pick):
+    state = _random_state(registers, seed, 1.0)
+    register = Register(f"R{len(registers)}", new[0].kind, new[0].labels)
+    if label_pick is None:
+        vec = _random_state(new, seed + 1, 1.0).amplitudes.copy()
+        vec[[z % register.dim for z in zeros]] = 0
+        if not vec.any():
+            vec[-1] = 1.0
+        value = vec = vec / np.linalg.norm(vec)
+    else:
+        value = register.labels[label_pick % register.dim]
+        vec = basis_column(register, value)
+    bigger = extend(state, register, value)
+    expected = np.kron(state.amplitudes, vec)
+    assert bigger.registers == registers + (register,)
+    assert np.array_equal(bigger.amplitudes, expected)
+    assert bigger.amplitudes.tobytes() == expected.tobytes()
 
 
 def test_extend_appends_fastest_axis():

@@ -466,6 +466,16 @@ def test_truncation_tail_bound_enforced():
     assert any("tail bound" in msg for _, msg in err.value.errors)
 
 
+def test_tail_bound_error_names_the_cavity_line():
+    text = ("config alpha 2\n\ncavity C1 alpha 1\ncavity C2 alpha $alpha truncation 16\n"
+            "inject C2 2\n")
+    with pytest.raises(ScriptError) as err:
+        resolve(parse(text))
+    assert err.value.errors == [(4, "cavity C2: truncation 16 is below the tail bound 58 "
+                                    "for amplitude reach 4")]
+    assert str(err.value).startswith("line 4: cavity C2: truncation 16")
+
+
 def test_overrides_feed_validation():
     script = parse(REFERENCE_SCRIPT)
     with pytest.raises(ScriptError):
