@@ -25,6 +25,7 @@ from slitport.protocol import (
     DeclareCavity,
     Detect,
     Inject,
+    JcPass,
     Kernel,
     ProtocolError,
     RunInputs,
@@ -277,6 +278,20 @@ def test_jc_pass_needs_probe():
                        {"A1": "b", "C1": "0"})
     with pytest.raises(RegisterError):
         jc_pass(state, "A1", "C1", 0.3)
+
+
+@pytest.mark.parametrize("instructions, message", [
+    ([DeclareAtom("X", "bogus", "b")], "atom X: unknown kind 'bogus'"),
+    ([DeclareAtom("P", "qubit2", "input")], "atom P: 'input' preparation needs a lambda3 atom"),
+    ([DeclareCavity("C1", 1.0, 16), DeclareAtom("A", "lambda3", "b"), JcPass("A", "C1", 0.3)],
+     "jc pass needs a two-level probe, A is not one"),
+])
+def test_runner_register_errors(instructions, message):
+    with pytest.raises(ProtocolError) as err:
+        run_protocol(instructions, RunInputs())
+    assert isinstance(err.value.cause, RegisterError)
+    assert str(err.value.cause) == message
+    assert str(err.value) == f"step failed ({type(instructions[-1]).__name__}): {message}"
 
 
 # --- full runs ---

@@ -11,6 +11,7 @@ from slitport.scenario import REFERENCE_SCRIPT
 from slitport.script import (
     KEYWORDS,
     PARAM_NAMES,
+    SYNTAX,
     Angle,
     Command,
     ParamRef,
@@ -505,6 +506,29 @@ def test_input_label_reserved_for_lambda3():
     with pytest.raises(ScriptError) as err:
         resolve(parse("atom P qubit2 state input"))
     assert any("unknown label" in msg for _, msg in err.value.errors)
+
+
+_PROBE_PASS = ("cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v C2\n"
+               "atom P qubit2 state f\nsplit P S\npass P S phi pi\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("atom A lambda3 state q", (1, "atom A: unknown label 'q' (valid: a, b, c, input)")),
+    ("atom P qubit2 state input", (1, "atom P: unknown label 'input' (valid: f, e)")),
+    ("atom A lambda3 state b\ndetect A internal q", (2, "unknown label 'q' (valid: a, b, c)")),
+    ("atom P qubit2 state f\ndetect P internal b", (2, "unknown label 'b' (valid: f, e)")),
+    (_PROBE_PASS, (8, "atom P must be lambda3 to pass through cavities")),
+    ("cavity C1 alpha 1\natom A lambda3 state b\njcpass A C1 gt pi/8",
+     (3, "atom A must be qubit2 for a resonant pass")),
+])
+def test_atom_level_messages(text, error):
+    with pytest.raises(ScriptError) as err:
+        resolve(parse(text))
+    assert err.value.errors == [error]
+
+
+def test_atom_kinds_in_syntax():
+    assert SYNTAX["atom"] == "atom ID (lambda3|qubit2) state LABEL"
 
 
 def test_config_accepts_complex_amplitudes():
