@@ -1,97 +1,15 @@
-"""The built-in reference scenario.
+"""The built-in reference scenario, read from the packaged ``paper.qprot``.
 
 Four three-level atoms cross a double slit with a cavity behind each
 slit; post-selected detections teleport the third atom's input
 amplitudes onto the fourth atom's path state, and two probe atoms
-disentangle the cavities at the end.  The same text ships as
-``scenarios/paper.qprot``.
+disentangle the cavities at the end.  ``scenarios/paper.qprot`` links to
+the same file.
 
 Parameters appear as $references, so command-line overrides and sweeps
 apply to every declaration at once.
 """
 
-REFERENCE_SCRIPT = """\
-# Teleportation of a two-slit path qubit via cavity parity records.
-config alpha 2
-config truncation 64
-config gt pi/8
-config cb 0.70710678118654746
-config cc 0.70710678118654746
+from importlib.resources import files
 
-cavity C1 alpha $alpha truncation $truncation
-cavity C2 alpha $alpha truncation $truncation
-screen SC1 sl1 sl2
-bind sl1 C1
-bind sl2 C2
-screen SC2 dp3 dark2
-screen SC3 gamma1 gamma2
-screen SC4 dp1 dark4
-screen SC5 rho1 rho2
-screen SC6 dp2 dark6
-kernel SC2 [1 0; 0 0]
-kernel SC3 [0.70710678118654746 0.70710678118654746; 0.70710678118654746 0.70710678118654746]
-kernel SC4 [1 0; 0 0]
-kernel SC5 [0.70710678118654746 0.70710678118654746; 0.70710678118654746 0.70710678118654746]
-kernel SC6 [1 0; 0 0]
-
-# first atom writes its slit choice into the cavity fields
-atom A1 lambda3 state b
-split A1 SC1
-checkpoint A1_split
-pass A1 SC1 phi pi
-checkpoint A1_after_cavities
-
-# second atom, then joint internal detections entangle the two paths
-atom A2 lambda3 state b
-split A2 SC1
-pass A2 SC1 phi pi
-checkpoint A12_after_cavities
-detect A1 internal c
-detect A2 internal b
-checkpoint A12_post_c1b2
-
-# third atom carries the input amplitudes cb|b> - cc|c>
-atom A3 lambda3 state input
-split A3 SC1
-pass A3 SC1 phi pi
-checkpoint A123_after_cavities
-detect A3 internal b
-checkpoint A123_post_b3
-propagate A3 SC2
-detect A3 position dp3
-checkpoint A123_post_zeta31
-checkpoint A12_pre_SC3
-
-# first atom leaves through the far-field screens
-propagate A1 SC3
-propagate A1 SC4
-detect A1 position dp1
-checkpoint A2_post_gamma1
-checkpoint TELEPST1
-
-# fourth atom receives the state
-atom A4 lambda3 state b
-split A4 SC1
-pass A4 SC1 phi pi
-checkpoint A24_after_cavities
-propagate A2 SC5
-propagate A2 SC6
-detect A2 position dp2
-checkpoint A24_post_rho1
-detect A4 internal b
-checkpoint A24_post_b4
-checkpoint TELEPST2
-
-# disentangle the cavities: injection, then resonant probe reads
-inject C1 $alpha
-inject C2 $alpha
-checkpoint POST_INJECTION
-atom A51 qubit2 state f
-atom A52 qubit2 state f
-jcpass A51 C1 gt $gt
-jcpass A52 C2 gt $gt
-checkpoint POST_JC
-detect A51 internal e
-detect A52 internal e
-checkpoint FINAL
-"""
+REFERENCE_SCRIPT = files(__package__).joinpath("paper.qprot").read_text(encoding="utf-8")
