@@ -1,8 +1,8 @@
 """Dense state vectors over a tensor product of named registers.
 
 A register is one degree of freedom: a path qudit labelled by slit or
-detector positions, a three-level atom (a, b, c), a two-level probe
-(f, e), or a truncated field mode with Fock labels "0".."dim-1".
+detector positions, an atom's internal levels (``ATOM_LEVELS``), or a
+truncated field mode with Fock labels "0".."dim-1".
 
 Amplitudes are stored flat in row-major register order, so the last
 register varies fastest.  Every module in the package relies on this one
@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# each atom kind's internal levels in basis order: the three-level atoms
+# that cross the cavities, and the two-level probes that read them out
+ATOM_LEVELS = {"lambda3": ("a", "b", "c"), "qubit2": ("f", "e")}
 # "basis" indexes the inputs a batched run carries side by side
-REGISTER_KINDS = ("path", "lambda3", "qubit2", "mode", "basis")
-LAMBDA3_LABELS = ("a", "b", "c")
-QUBIT2_LABELS = ("f", "e")
+REGISTER_KINDS = ("path", *ATOM_LEVELS, "mode", "basis")
 
 # Below this squared norm a measurement branch is considered dead: forcing
 # the outcome anyway means the protocol post-selected an impossible event.
@@ -55,10 +56,9 @@ class Register:
             raise RegisterError(f"register {self.name}: empty label list")
         if len(set(self.labels)) != len(self.labels):
             raise RegisterError(f"register {self.name}: duplicate labels")
-        if self.kind == "lambda3" and self.labels != LAMBDA3_LABELS:
-            raise RegisterError(f"register {self.name}: lambda3 labels must be {LAMBDA3_LABELS}")
-        if self.kind == "qubit2" and self.labels != QUBIT2_LABELS:
-            raise RegisterError(f"register {self.name}: qubit2 labels must be {QUBIT2_LABELS}")
+        if self.kind in ATOM_LEVELS and self.labels != ATOM_LEVELS[self.kind]:
+            raise RegisterError(f"register {self.name}: {self.kind} labels must be "
+                                f"{ATOM_LEVELS[self.kind]}")
         if self.kind == "mode":
             expected = tuple(str(n) for n in range(len(self.labels)))
             if self.labels != expected:
@@ -82,11 +82,11 @@ class Register:
 
     @classmethod
     def lambda3(cls, name: str) -> "Register":
-        return cls(name, "lambda3", LAMBDA3_LABELS)
+        return cls(name, "lambda3", ATOM_LEVELS["lambda3"])
 
     @classmethod
     def qubit2(cls, name: str) -> "Register":
-        return cls(name, "qubit2", QUBIT2_LABELS)
+        return cls(name, "qubit2", ATOM_LEVELS["qubit2"])
 
     @classmethod
     def mode(cls, name: str, dim: int) -> "Register":

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fockspace import CompositeState, Register, basis_column
+from .fockspace import ATOM_LEVELS, CompositeState, Register, basis_column
 from .gates import cat_state, coherent_amplitudes
 
 CHECKPOINTS = (
@@ -95,17 +95,8 @@ _parts = lru_cache(maxsize=16)(_Parts)
 
 
 def _registers(names_kinds, truncation: int):
-    regs = []
-    for name, kind in names_kinds:
-        if kind == "mode":
-            regs.append(Register.mode(name, truncation))
-        elif kind == "lambda3":
-            regs.append(Register.lambda3(name))
-        elif kind == "qubit2":
-            regs.append(Register.qubit2(name))
-        else:
-            regs.append(Register.path(name, SLITS))
-    return tuple(regs)
+    labels = {"path": SLITS, "mode": tuple(map(str, range(truncation))), **ATOM_LEVELS}
+    return tuple(Register(name, kind, labels[kind]) for name, kind in names_kinds)
 
 
 def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float) -> CompositeState:

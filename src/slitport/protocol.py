@@ -20,6 +20,7 @@ import numpy as np
 
 from . import oracle
 from .fockspace import (
+    ATOM_LEVELS,
     IMPOSSIBLE_OUTCOME_THRESHOLD,
     CompositeState,
     ImpossibleOutcomeError,
@@ -101,7 +102,7 @@ class DeclareCavity:
 @dataclass(frozen=True)
 class DeclareAtom:
     name: str
-    kind: str  # lambda3 | qubit2
+    kind: str  # a key of ATOM_LEVELS
     state: str  # basis label, or "input" for the (cb, -cc) preparation
     text: str = ""
 
@@ -489,12 +490,9 @@ class _Runner:
             raise ValueError(f"unknown instruction {ins!r}")
 
     def _declare_atom(self, ins: DeclareAtom) -> None:
-        if ins.kind == "lambda3":
-            register = Register.lambda3(ins.name)
-        elif ins.kind == "qubit2":
-            register = Register.qubit2(ins.name)
-        else:
+        if ins.kind not in ATOM_LEVELS:
             raise RegisterError(f"atom {ins.name}: unknown kind {ins.kind!r}")
+        register = Register(ins.name, ins.kind, ATOM_LEVELS[ins.kind])
         if ins.state != "input":
             self.state = extend(self.state, register, ins.state)
             return

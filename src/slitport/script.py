@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, fields
 
 from . import protocol
+from .fockspace import ATOM_LEVELS
 from .gates import tail_bound_dim
 from .numformat import fmt_complex, fmt_real, parse_complex
 from .oracle import CHECKPOINTS
@@ -33,7 +34,7 @@ from .oracle import CHECKPOINTS
 SYNTAX = {
     "config": "config key value",
     "cavity": "cavity ID alpha NUM [truncation INT]",
-    "atom": "atom ID (lambda3|qubit2) state LABEL",
+    "atom": f"atom ID ({'|'.join(ATOM_LEVELS)}) state LABEL",
     "screen": "screen ID SLIT1 SLIT2",
     "bind": "bind SLIT CAVITY",
     "kernel": "kernel ID MATRIX",
@@ -396,7 +397,7 @@ class _Validator:
         name, kind, state = cmd.args
         if not self._fresh(cmd.line, name):
             return
-        valid = ("a", "b", "c", "input") if kind == "lambda3" else ("f", "e")
+        valid = ATOM_LEVELS[kind] + (("input",) if kind == "lambda3" else ())
         if state not in valid:
             self.fail(cmd.line, f"atom {name}: unknown label {state!r} "
                                 f"(valid: {', '.join(valid)})")
@@ -510,7 +511,7 @@ class _Validator:
             if not self.internal_live.get(atom):
                 self.fail(cmd.line, f"atom {atom}: internal state was already detected")
                 return
-            valid = ("a", "b", "c") if self.atom_kind[atom] == "lambda3" else ("f", "e")
+            valid = ATOM_LEVELS[self.atom_kind[atom]]
             if label not in valid:
                 self.fail(cmd.line, f"unknown label {label!r} (valid: {', '.join(valid)})")
                 return

@@ -61,6 +61,15 @@ def test_register_invariants():
         Register("A1", "spin", ("u", "d"))
 
 
+def test_atom_register_label_messages():
+    with pytest.raises(RegisterError) as err:
+        Register("A1", "lambda3", ("a", "c", "b"))
+    assert str(err.value) == "register A1: lambda3 labels must be ('a', 'b', 'c')"
+    with pytest.raises(RegisterError) as err:
+        Register("A51", "qubit2", ("e", "f"))
+    assert str(err.value) == "register A51: qubit2 labels must be ('f', 'e')"
+
+
 def test_make_state_basis_assignment():
     state = make_state([Register.lambda3("A1")], {"A1": "b"})
     assert np.allclose(state.amplitudes, [0, 1, 0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from slitport.fockspace import ATOM_LEVELS
 from slitport.numformat import fmt_complex, fmt_real, parse_complex
 from slitport.protocol import CavityPass, DeclareCavity
 from slitport.scenario import REFERENCE_SCRIPT
@@ -529,6 +530,8 @@ def test_atom_level_messages(text, error):
 
 def test_atom_kinds_in_syntax():
     assert SYNTAX["atom"] == "atom ID (lambda3|qubit2) state LABEL"
+    choice = SYNTAX["atom"].split()[2]
+    assert tuple(choice[1:-1].split("|")) == tuple(ATOM_LEVELS)
 
 
 def test_config_accepts_complex_amplitudes():
