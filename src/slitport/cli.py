@@ -22,7 +22,8 @@ from . import protocol, script
 from .fockspace import ImpossibleOutcomeError
 from .gates import tail_bound_dim
 from .numformat import fmt_real, parse_real
-from .protocol import ProtocolError, RunReport, canonical_json, run_batch, run_protocol
+from .protocol import (ProtocolError, RunReport, _run_alone, canonical_json, run_batch,
+                       run_protocol)
 from .scenario import REFERENCE_SCRIPT
 from .script import ScriptError
 
@@ -220,13 +221,6 @@ def _settle(entry: dict, outcome) -> None:
         entry["impossible"] = isinstance(outcome.cause, ImpossibleOutcomeError)
 
 
-def _run_alone(run: script.ResolvedRun, args: argparse.Namespace):
-    try:
-        return run_protocol(run.instructions, run.inputs, sample=args.sample, seed=args.seed)
-    except ProtocolError as exc:
-        return exc
-
-
 def _sweep(values: list[float], args: argparse.Namespace) -> list[dict]:
     entries = [{"value": v, "final_fidelity": None, "cumulative_probability": None,
                 "error": None} for v in values]
@@ -244,7 +238,8 @@ def _sweep(values: list[float], args: argparse.Namespace) -> list[dict]:
         outcomes = run_batch(first.instructions, [run.inputs for run in runs.values()])
     else:
         # gates depend on alpha and gt, and a sampled outcome on the input
-        outcomes = [_run_alone(run, args) for run in runs.values()]
+        outcomes = [_run_alone(run.instructions, run.inputs, sample=args.sample,
+                               seed=args.seed) for run in runs.values()]
     for index, outcome in zip(runs, outcomes):
         _settle(entries[index], outcome)
     return entries

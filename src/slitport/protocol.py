@@ -307,15 +307,6 @@ def conditional_cavity_pass(
     return state
 
 
-def detect(state: CompositeState, register: str, label: str) -> tuple[CompositeState, float]:
-    """Detect one register at a basis label and retire it.
-
-    Returns the renormalized remaining state and the squared norm of the
-    detected branch; a dead branch raises ImpossibleOutcomeError.
-    """
-    return collapse(state, register, label)
-
-
 def propagate(state: CompositeState, atom: str, kernel: Kernel) -> CompositeState:
     """Rebase an atom's path register through a propagation kernel.
 
@@ -526,7 +517,7 @@ class _Runner:
                     f"{IMPOSSIBLE_OUTCOME_THRESHOLD:g} (total {total:.3e})"
                 )
             label = reg.labels[self.rng.choice(reg.dim, p=weights / total)]
-        self.state, probability = detect(self.state, register, label)
+        self.state, probability = collapse(self.state, register, label)
         lanes = self.live()
         probabilities = [probability] * len(lanes)
         if self._has_basis():
@@ -611,8 +602,10 @@ def run_batch(instructions, inputs) -> list[RunReport | ProtocolError]:
             for report, item in zip(reports, inputs)]
 
 
-def _run_alone(instructions, inputs: RunInputs):
+def _run_alone(instructions, inputs: RunInputs, *, sample: bool = False,
+               seed: int | None = None) -> RunReport | ProtocolError:
+    """``run_protocol``'s report, or the ProtocolError it raises."""
     try:
-        return run_protocol(instructions, inputs)
+        return run_protocol(instructions, inputs, sample=sample, seed=seed)
     except ProtocolError as exc:
         return exc

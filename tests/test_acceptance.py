@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from slitport.fockspace import Register, make_state
+from slitport.fockspace import Register, collapse, make_state
 from slitport.gates import (
     cat_state,
     coherent_amplitudes,
@@ -30,7 +30,7 @@ from slitport.gates import (
 from slitport.fockspace import unitarity_defect
 from slitport.numformat import fmt_complex, fmt_real
 from slitport.oracle import jc_excited_probability
-from slitport.protocol import detect, inject_coherent, jc_pass, run_protocol
+from slitport.protocol import inject_coherent, jc_pass, run_protocol
 from slitport.scenario import REFERENCE_SCRIPT
 from slitport.script import parse, parse_lenient, resolve, serialize
 
@@ -155,7 +155,7 @@ def test_criterion_6_probe_disentanglement():
         [Register.qubit2("A51"), Register.mode("C1", TRUNC)],
         {"A51": "f", "C1": coherent_amplitudes(2 * ALPHA, TRUNC)},
     )
-    _, engine = detect(jc_pass(state, "A51", "C1", math.pi / 8), "A51", "e")
+    _, engine = collapse(jc_pass(state, "A51", "C1", math.pi / 8), "A51", "e")
     ok = reference >= 0.9 and abs(engine - reference) < 1e-10
     assert _verdict(6, "probe excitation matches the photon-sum reference",
                     ok, f"P(e) = {reference:.6f}")

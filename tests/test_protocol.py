@@ -12,6 +12,7 @@ from slitport.fockspace import (
     Register,
     RegisterError,
     TruncationError,
+    collapse,
     fidelity,
     make_state,
     rebase_register,
@@ -32,7 +33,6 @@ from slitport.protocol import (
     Split,
     canonical_json,
     conditional_cavity_pass,
-    detect,
     inject_coherent,
     jc_pass,
     propagate,
@@ -151,13 +151,13 @@ def test_detect_impossible_outcome():
     state = conditional_cavity_pass(state, "A1", BINDINGS, math.pi)
     # the pass never populates the upper level from |b>
     with pytest.raises(ImpossibleOutcomeError):
-        detect(state, "A1", "a")
+        collapse(state, "A1", "a")
 
 
 def test_detect_drops_register():
     state = split_at_screen(fresh_atom_state(), "A1", SLITS)
     state = conditional_cavity_pass(state, "A1", BINDINGS, math.pi)
-    out, p = detect(state, "A1", "c")
+    out, p = collapse(state, "A1", "c")
     assert "A1" not in out.names
     assert 0 < p < 1
     assert abs(out.norm() - 1) < 1e-12
@@ -179,7 +179,7 @@ def test_propagate_detector_row_sheds_other_branch():
     out = propagate(state, "A1", kernel)
     assert out.register("A1_path").labels == ("dp",)
     assert out.norm() ** 2 == pytest.approx(0.5, abs=1e-12)
-    collapsed, p = detect(out, "A1_path", "dp")
+    collapsed, p = collapse(out, "A1_path", "dp")
     assert p == pytest.approx(0.5, abs=1e-12)
     assert abs(collapsed.norm() - 1) < 1e-12
 
@@ -260,7 +260,7 @@ def test_jc_pass_excites_probe():
     state = make_state([Register.qubit2("A51"), Register.mode("C1", n)],
                        {"A51": "f", "C1": coherent_amplitudes(4.0, n)})
     out = jc_pass(state, "A51", "C1", math.pi / 8)
-    _, p = detect(out, "A51", "e")
+    _, p = collapse(out, "A51", "e")
     assert p >= 0.9
 
 
