@@ -360,7 +360,8 @@ class _Validator:
                 self.fail(cmd.line, str(exc))
         self._check_truncations()
         if self.errors:
-            raise ScriptError(self.errors)
+            # the tail-bound checks run last; report in line order
+            raise ScriptError(sorted(self.errors, key=lambda error: error[0]))
         return ResolvedRun(tuple(self.instructions), self.inputs)
 
     def _fresh(self, line: int, name: str) -> bool:
