@@ -106,11 +106,20 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in script.PARAM_NAMES if getattr(args, k, None) is not None}
 
 
+class _JsonPathError(Exception):
+    """The --json path could not be written."""
+
+
 def _load_script(path: str) -> script.ProtocolScript:
     file = Path(path)
     if not file.exists():
         raise ScriptError([(0, f"no such script file: {path}")])
-    return script.parse(file.read_text(encoding="utf-8"))
+    try:
+        text = file.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ScriptError([(0, f"cannot read script file {path}: {reason}")]) from None
+    return script.parse(text)
 
 
 def _emit(text: str) -> None:
@@ -138,7 +147,10 @@ def _print_report(report: RunReport) -> None:
 
 def _write_json(path: str | None, payload: str) -> None:
     if path:
-        Path(path).write_text(payload + "\n", encoding="utf-8")
+        try:
+            Path(path).write_text(payload + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise _JsonPathError(f"cannot write --json {path}: {exc.strerror}") from None
 
 
 def _execute(parsed: script.ProtocolScript, args: argparse.Namespace) -> int:
@@ -286,7 +298,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_dash_values(argv))
     handlers = {"run": cmd_run, "check": cmd_check, "paper": cmd_paper, "sweep": cmd_sweep}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _JsonPathError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -31,6 +31,45 @@ def test_run_missing_file(capsys):
     assert "no such script" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_script_path_is_a_directory(capsys, tmp_path, command):
+    assert main([command, str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"line 0: cannot read script file {tmp_path}: "
+                                       "Is a directory\n")
+
+
+def test_script_that_is_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.qprot"
+    bad.write_bytes(b"\xff config alpha 2\n")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"line 0: cannot read script file {bad}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+_JSON_COMMANDS = [["run", str(SCENARIO)], ["paper"], ["sweep", "--param", "gt", "--values", "0.3"],
+                  ["sweep", "--param", "cb", "--values", "0.6,0.8"]]
+
+
+@pytest.mark.parametrize("argv", _JSON_COMMANDS)
+@pytest.mark.parametrize("target, reason", [("missing/report.json", "No such file or directory"),
+                                            (".", "Is a directory")])
+def test_unwritable_json_path_exits_2(capsys, tmp_path, argv, target, reason):
+    path = tmp_path / target
+    assert main(argv + ["--json", str(path)]) == 2
+    assert capsys.readouterr().err == f"cannot write --json {path}: {reason}\n"
+
+
+def test_check_reports_errors_in_line_order(capsys, tmp_path):
+    bad = tmp_path / "bad.qprot"
+    bad.write_text("cavity C1 alpha 2 truncation 8\natom A lambda3 state q\n")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "line 1: cavity C1: truncation 8 is below the tail bound 27 for amplitude reach 2\n"
+        "line 2: atom A: unknown label 'q' (valid: a, b, c, input)\n"
+    )
+
+
 def test_run_rejects_bad_truncation(capsys):
     assert main(["run", str(SCENARIO), "--truncation", "8"]) == 2
     assert "tail bound" in capsys.readouterr().err
