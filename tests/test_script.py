@@ -478,17 +478,6 @@ def test_tail_bound_error_names_the_cavity_line():
     assert str(err.value).startswith("line 4: cavity C2: truncation 16")
 
 
-def test_errors_are_reported_in_line_order():
-    text = "cavity C1 alpha 2 truncation 8\natom A lambda3 state q\natom B qubit2 state b\n"
-    with pytest.raises(ScriptError) as err:
-        resolve(parse(text))
-    assert err.value.errors == [
-        (1, "cavity C1: truncation 8 is below the tail bound 27 for amplitude reach 2"),
-        (2, "atom A: unknown label 'q' (valid: a, b, c, input)"),
-        (3, "atom B: unknown label 'b' (valid: f, e)"),
-    ]
-
-
 def test_overrides_feed_validation():
     script = parse(REFERENCE_SCRIPT)
     with pytest.raises(ScriptError):
