@@ -111,11 +111,10 @@ class _JsonPathError(Exception):
 
 
 def _load_script(path: str) -> script.ProtocolScript:
-    file = Path(path)
-    if not file.exists():
-        raise ScriptError([(0, f"no such script file: {path}")])
     try:
-        text = file.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ScriptError([(0, f"no such script file: {path}")]) from None
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise ScriptError([(0, f"cannot read script file {path}: {reason}")]) from None
