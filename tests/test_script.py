@@ -550,3 +550,85 @@ def test_integer_slot_rejects_a_real_parameter():
 def test_cavity_complex_alpha():
     run = resolve(parse("cavity C1 alpha 0.5+0.5i truncation 24"))
     assert _cavities(run)["C1"].alpha == 0.5 + 0.5j
+
+
+# every validator message, pinned exactly: a short script and its errors
+_LAYOUT = "cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v C2\n"
+
+
+@pytest.mark.parametrize("text, errors", [
+    ("cavity C1 alpha 1\ncavity C1 alpha 2", [(2, "'C1' is already declared as a cavity")]),
+    ("screen S u v\natom S lambda3 state b", [(2, "'S' is already declared as a screen")]),
+    ("atom A lambda3 state b\nscreen A u v", [(2, "'A' is already declared as a atom")]),
+    ("config alpha 2\nconfig alpha 3", [(2, "config alpha given twice")]),
+    ("cavity C1 alpha 1 truncation 1", [(1, "cavity C1: truncation must be at least 2")]),
+    ("config gt 70.5\ncavity C1 alpha 1 truncation $gt",
+     [(2, "cavity C1: parameter $gt is not an integer")]),
+    ("atom A lambda3 state q", [(1, "atom A: unknown label 'q' (valid: a, b, c, input)")]),
+    ("screen S u v\nscreen T v w", [(2, "slit label 'v' is already used by screen S")]),
+    ("bind u C1", [(1, "slit 'u' is not declared by any screen")]),
+    ("screen S u v\nbind u C1", [(2, "cavity 'C1' is not declared")]),
+    (_LAYOUT + "bind u C2", [(6, "slit u is already bound to C1")]),
+    ("kernel K [1]\nkernel K [1]", [(2, "kernel 'K' is already declared")]),
+    ("screen S u v\nkernel S [1 0]",
+     [(2, "kernel S: screen S has 2 slits but the matrix has 1 rows")]),
+    ("kernel K [1 0; 0 1]",
+     [(1, "kernel K: no screen named K, so the matrix must have a single detector row")]),
+    ("kernel K [1.2]", [(1, "kernel column exceeds unit norm (max 1.200000000000)")]),
+    ("split A S", [(1, "atom 'A' is not declared")]),
+    ("atom A lambda3 state b\nsplit A S", [(2, "screen 'S' is not declared")]),
+    (_LAYOUT + "atom A lambda3 state b\nsplit A S\nsplit A S", [(8, "atom A is already split")]),
+    ("pass A S phi pi", [(1, "atom 'A' is not declared")]),
+    (_LAYOUT + "atom P qubit2 state f\nsplit P S\npass P S phi pi",
+     [(8, "atom P must be lambda3 to pass through cavities")]),
+    (_LAYOUT + "atom A lambda3 state b\ndetect A internal b\npass A S phi pi",
+     [(8, "atom A: internal state was already detected")]),
+    ("atom A lambda3 state b\npass A S phi pi", [(2, "screen 'S' is not declared")]),
+    (_LAYOUT + "atom A lambda3 state b\npass A S phi pi",
+     [(7, "atom A is not at screen S's slits")]),
+    ("cavity C1 alpha 1\nscreen S u v\nbind u C1\natom A lambda3 state b\nsplit A S\n"
+     "pass A S phi pi", [(6, "slit v has no cavity")]),
+    ("cavity C1 alpha 1\nscreen S u v\nbind u C1\nbind v C1\natom A lambda3 state b\n"
+     "split A S\npass A S phi pi", [(7, "screen S: both slits bind the same cavity")]),
+    ("detect A internal b", [(1, "atom 'A' is not declared")]),
+    ("atom A lambda3 state b\ndetect A internal b\ndetect A internal b",
+     [(3, "atom A: internal state was already detected")]),
+    ("atom A lambda3 state b\ndetect A internal q", [(2, "unknown label 'q' (valid: a, b, c)")]),
+    ("atom A lambda3 state b\ndetect A position u",
+     [(2, "atom A has no path register to detect")]),
+    ("screen S u v\natom A lambda3 state b\nsplit A S\ndetect A position w",
+     [(4, "label 'w' is not in A's current basis (u, v)")]),
+    ("propagate A K", [(1, "atom 'A' is not declared")]),
+    ("atom A lambda3 state b\npropagate A K", [(2, "kernel 'K' is not declared")]),
+    ("kernel K [1]\natom A lambda3 state b\npropagate A K",
+     [(3, "atom A has no path register to propagate")]),
+    ("screen S u v\nkernel K [1]\natom A lambda3 state b\nsplit A S\npropagate A K",
+     [(5, "kernel K has 1 columns but A's basis has 2 labels")]),
+    ("inject C1 1", [(1, "cavity 'C1' is not declared")]),
+    ("jcpass P C1 gt pi/8", [(1, "atom 'P' is not declared")]),
+    ("cavity C1 alpha 1\natom A lambda3 state b\njcpass A C1 gt pi/8",
+     [(3, "atom A must be qubit2 for a resonant pass")]),
+    ("cavity C1 alpha 1\natom P qubit2 state f\ndetect P internal f\njcpass P C1 gt pi/8",
+     [(4, "atom P: internal state was already detected")]),
+    ("atom P qubit2 state f\njcpass P C1 gt pi/8", [(2, "cavity 'C1' is not declared")]),
+    ("checkpoint NOPE", [(1, "unknown checkpoint 'NOPE'")]),
+    ("config alpha 0\ncheckpoint A1_split\ncheckpoint A1_after_cavities",
+     [(2, "checkpoint A1_split: alpha is 0, so the odd cat |alpha> - |-alpha> vanishes and "
+          "the cavities cannot record a slit; checkpoints need a nonzero alpha")]),
+    ("cavity C1 alpha 2 truncation 16\ninject C1 2",
+     [(1, "cavity C1: truncation 16 is below the tail bound 58 for amplitude reach 4")]),
+    # one error per command, however many checks it fails, and every error in
+    # line order: the tail bound of line 1 is checked after the last command
+    ("cavity C1 alpha 2 truncation 16\ninject C1 2\njcpass A C9 gt pi/8\n"
+     "atom A lambda3 state b\njcpass A C9 gt pi/8\ncheckpoint NOPE\n"
+     "cavity C2 alpha 1 truncation 12",
+     [(1, "cavity C1: truncation 16 is below the tail bound 58 for amplitude reach 4"),
+      (3, "atom 'A' is not declared"),
+      (5, "atom A must be qubit2 for a resonant pass"),
+      (6, "unknown checkpoint 'NOPE'"),
+      (7, "cavity C2: truncation 12 is below the tail bound 16 for amplitude reach 1")]),
+])
+def test_validator_message(text, errors):
+    with pytest.raises(ScriptError) as err:
+        resolve(parse(text))
+    assert err.value.errors == errors
