@@ -106,10 +106,6 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in script.PARAM_NAMES if getattr(args, k, None) is not None}
 
 
-class _JsonPathError(Exception):
-    """The --json path could not be written."""
-
-
 def _load_script(path: str) -> script.ProtocolScript:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -149,22 +145,17 @@ def _write_json(path: str | None, payload: str) -> None:
         try:
             Path(path).write_text(payload + "\n", encoding="utf-8")
         except OSError as exc:
-            raise _JsonPathError(f"cannot write --json {path}: {exc.strerror}") from None
+            raise ValueError(f"cannot write --json {path}: {exc.strerror}") from None
 
 
 def _execute(parsed: script.ProtocolScript, args: argparse.Namespace) -> int:
-    try:
-        run = script.resolve(parsed, _overrides(args))
-    except (ScriptError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT
+    run = script.resolve(parsed, _overrides(args))
     try:
         report = run_protocol(run.instructions, run.inputs, sample=args.sample, seed=args.seed)
     except ProtocolError as exc:
         print(exc, file=sys.stderr)
-        if exc.report is not None:
-            _write_json(args.json, exc.report.to_json())
-            _print_report(exc.report)
+        _write_json(args.json, exc.report.to_json())
+        _print_report(exc.report)
         return (EXIT_IMPOSSIBLE if isinstance(exc.cause, ImpossibleOutcomeError)
                 else EXIT_INPUT)
     _write_json(args.json, report.to_json())
@@ -176,21 +167,12 @@ def _execute(parsed: script.ProtocolScript, args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        parsed = _load_script(args.script)
-    except ScriptError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT
-    return _execute(parsed, args)
+    return _execute(_load_script(args.script), args)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        parsed = _load_script(args.script)
-        script.resolve(parsed)
-    except (ScriptError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT
+    parsed = _load_script(args.script)
+    script.resolve(parsed)
     # a valid script declares each name once
     count = Counter(cmd.keyword for cmd in parsed.commands)
     _emit(f"ok: {len(parsed.commands)} commands, {count['screen']} screens, "
@@ -240,7 +222,7 @@ def _sweep(values: list[float], args: argparse.Namespace) -> list[dict]:
     for index, value in enumerate(values):
         try:
             runs[index] = script.resolve(parsed, _sweep_overrides(args.param, value, args))
-        except (ScriptError, ValueError) as exc:
+        except ValueError as exc:
             _settle(entries[index], exc)
     if args.param == "cb" and not args.sample and runs:
         # the reference script reads cb and cc only as the input amplitudes,
@@ -260,11 +242,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         values = [parse_real(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
-        print(f"could not parse --values {args.values!r}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"could not parse --values {args.values!r}: {exc}") from None
     if not values:
-        print("--values is empty", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--values is empty")
     entries = _sweep(values, args)
     impossible = any(e.pop("impossible", False) for e in entries)
     document = {"param": args.param, "runs": entries}
@@ -299,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": cmd_run, "check": cmd_check, "paper": cmd_paper, "sweep": cmd_sweep}
     try:
         return handlers[args.command](args)
-    except _JsonPathError as exc:
+    except ValueError as exc:  # a ScriptError too: a bad script, flag value or path
         print(exc, file=sys.stderr)
         return EXIT_INPUT
 

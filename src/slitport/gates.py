@@ -25,9 +25,14 @@ def tail_bound_dim(amplitude: complex) -> int:
     """Smallest Fock dimension with tail mass below 1e-8 for |amplitude>.
 
     Poisson tail bound: mean + 10 standard deviations comfortably clears
-    the 1e-8 mass limit for any coherent amplitude.
+    the 1e-8 mass limit for any coherent amplitude.  An amplitude whose
+    mean photon number overflows a float raises TruncationError.
     """
-    nbar = abs(amplitude) ** 2
+    magnitude = abs(amplitude)
+    if not math.isfinite(magnitude * magnitude):
+        raise TruncationError(f"amplitude {magnitude:.3e} has a mean photon number beyond "
+                              "float range; no Fock cutoff can hold it")
+    nbar = magnitude ** 2
     return math.ceil(nbar + 10.0 * math.sqrt(nbar + 1.0))
 
 

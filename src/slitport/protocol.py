@@ -6,7 +6,8 @@ get detected (post-selected by default, Born-sampled on request),
 propagate through configurable kernels, and finally two probe atoms read
 the cavities out.  Every step leaves a record; the report carries the
 cumulative post-selection probability and the fidelity of the teleported
-path state.
+path state.  A step that fails raises, and the runner turns that into one
+ProtocolError carrying the partial report.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .fockspace import (
     reorder,  # noqa: F401  (perfbench patches it by this module's name)
 )
 from .gates import (
+    TAIL_MASS_LIMIT,
     coherent_amplitudes,
     coherent_tail_mass,
     dispersive_blocks,
@@ -50,8 +52,6 @@ from .gates import (
     jc_unitary,  # noqa: F401  (perfbench patches it by this module's name)
 )
 from .numformat import fmt_complex, fmt_real
-
-INJECTION_TAIL_LIMIT = 1e-8
 
 
 class ProtocolError(RuntimeError):
@@ -328,7 +328,7 @@ def inject_coherent(state: CompositeState, cavity: str,
     mode = state.register(cavity)
     out = apply_op(state, displacement(beta, mode.dim).on(cavity))
     top = float(label_probabilities(out, cavity)[-1])
-    if top > INJECTION_TAIL_LIMIT:
+    if top > TAIL_MASS_LIMIT:
         raise TruncationError(
             f"injection into {cavity} leaves {top:.3e} probability at the Fock cutoff; "
             "raise the truncation"
@@ -370,7 +370,6 @@ class _Lane:
         # squared norm of this input's combination of the basis columns right
         # after the last detection; a column starts with norm 1/sqrt(2)
         self.weight = 0.5
-        self.failed = False
 
     def report(self, final_fidelity: float | None = None) -> RunReport:
         return RunReport(
@@ -388,6 +387,7 @@ class _Runner:
     A batch (more than one lane) carries the _BASIS axis once the input atom
     is declared; each lane reads its probabilities off the Gram matrix of
     the basis columns and scores checkpoints on its own combination of them.
+    A step that fails for any lane fails the whole run.
     """
 
     def __init__(self, inputs, sample: bool, seed: int | None):
@@ -396,28 +396,18 @@ class _Runner:
         self.state = CompositeState((), np.ones(1, dtype=complex))
         self.rng = np.random.default_rng(seed) if sample else None
 
-    def live(self) -> list[_Lane]:
-        return [lane for lane in self.lanes if not lane.failed]
-
-    def run(self, instructions) -> list[RunReport | None]:
-        """One report per lane; in a batch, a lane that failed gives None."""
+    def run(self, instructions) -> list[RunReport]:
+        """One report per lane; a failed step raises ProtocolError."""
         for ins in instructions:
             try:
                 self.execute(ins)
-            except (ImpossibleOutcomeError, TruncationError, RegisterError, ValueError) as exc:
-                if not self.batched:
-                    raise ProtocolError(
-                        f"step failed ({ins.text or type(ins).__name__}): {exc}",
-                        report=self.lanes[0].report(),
-                        cause=exc,
-                    ) from exc
-                # a shared step failed: every lane is rerun on its own
-                for lane in self.lanes:
-                    lane.failed = True
-            if not self.live():
-                break
-        return [None if lane.failed else lane.report(self.final_fidelity(lane))
-                for lane in self.lanes]
+            except (ImpossibleOutcomeError, ValueError) as exc:
+                raise ProtocolError(
+                    f"step failed ({ins.text or type(ins).__name__}): {exc}",
+                    report=self.lanes[0].report(),
+                    cause=exc,
+                ) from exc
+        return [lane.report(self.final_fidelity(lane)) for lane in self.lanes]
 
     def _has_basis(self) -> bool:
         return self.state.registers[:1] == (_BASIS,)
@@ -431,13 +421,13 @@ class _Runner:
         return CompositeState(self.state.registers[1:], amps)
 
     def _lane_weights(self, tensor: np.ndarray) -> list[float]:
-        """c^H G c for each live lane, G the Gram matrix of tensor's basis columns."""
+        """c^H G c for each lane, G the Gram matrix of tensor's basis columns."""
         columns = tensor.reshape(2, -1)
         gram = columns.conj() @ columns.T
-        return [float(np.real(lane.coeffs.conj() @ gram @ lane.coeffs)) for lane in self.live()]
+        return [float(np.real(lane.coeffs.conj() @ gram @ lane.coeffs)) for lane in self.lanes]
 
     def _record(self, step: StepRecord) -> None:
-        for lane in self.live():
+        for lane in self.lanes:
             lane.records.append(step)
 
     def final_fidelity(self, lane: _Lane) -> float | None:
@@ -452,7 +442,7 @@ class _Runner:
         if isinstance(ins, DeclareCavity):
             vec = coherent_amplitudes(ins.alpha, ins.truncation)
             tail = coherent_tail_mass(ins.alpha, ins.truncation)
-            for lane in self.live():
+            for lane in self.lanes:
                 lane.tail_mass = max(lane.tail_mass, tail)
             self.state = extend(self.state, Register.mode(ins.name, ins.truncation), vec)
             self._record(StepRecord(ins.text or f"cavity {ins.name}", "declare"))
@@ -495,7 +485,7 @@ class _Runner:
                                 np.array([0.0, inputs.cb, -inputs.cc], dtype=complex))
             return
         # a second input atom would make the state quadratic in (cb, cc); its
-        # duplicate _BASIS register fails the step and every lane reruns alone
+        # duplicate _BASIS register fails the step
         halves = [extend(self.state, register, column).amplitudes
                   for column in ([0.0, 1.0, 0.0], [0.0, 0.0, -1.0])]
         self.state = CompositeState((_BASIS,) + self.state.registers + (register,),
@@ -518,38 +508,36 @@ class _Runner:
                 )
             label = reg.labels[self.rng.choice(reg.dim, p=weights / total)]
         self.state, probability = collapse(self.state, register, label)
-        lanes = self.live()
-        probabilities = [probability] * len(lanes)
+        probabilities = [probability] * len(self.lanes)
         if self._has_basis():
             # the branch's Gram matrix is probability times the new state's
             weights = self._lane_weights(self.state.amplitudes)
-            probabilities = [probability * w / lane.weight for lane, w in zip(lanes, weights)]
-            for lane, w in zip(lanes, weights):
+            probabilities = [probability * w / lane.weight
+                             for lane, w in zip(self.lanes, weights)]
+            for lane, w in zip(self.lanes, weights):
                 lane.weight = w
-        for lane, p in zip(lanes, probabilities):
-            if p < IMPOSSIBLE_OUTCOME_THRESHOLD:
-                lane.failed = True
-                continue
+            if min(probabilities) < IMPOSSIBLE_OUTCOME_THRESHOLD:
+                raise ImpossibleOutcomeError(f"outcome {label!r} is impossible for an input")
+        for lane, p in zip(self.lanes, probabilities):
             lane.cumulative *= p
             lane.records.append(StepRecord(ins.text or f"detect {ins.atom}", kind,
                                            outcome=label, probability=p))
 
     def _inject(self, ins: Inject) -> None:
         self.state, top = inject_coherent(self.state, ins.cavity, ins.beta)
-        lanes = self.live()
-        tops = [top] * len(lanes)
+        tops = [top] * len(self.lanes)
         if self._has_basis():
             edge = np.take(self.state.tensor(), -1, axis=self.state.axis(ins.cavity))
-            tops = [w / lane.weight for lane, w in zip(lanes, self._lane_weights(edge))]
-        for lane, t in zip(lanes, tops):
-            if t > INJECTION_TAIL_LIMIT:
-                lane.failed = True
-                continue
+            tops = [w / lane.weight for lane, w in zip(self.lanes, self._lane_weights(edge))]
+            if max(tops) > TAIL_MASS_LIMIT:
+                raise TruncationError(f"injection into {ins.cavity} overflows the cutoff "
+                                      "for an input")
+        for lane, t in zip(self.lanes, tops):
             lane.tail_mass = max(lane.tail_mass, t)
             lane.records.append(StepRecord(ins.text or f"inject {ins.cavity}", "inject"))
 
     def _checkpoint(self, ins: Checkpoint) -> None:
-        for lane in self.live():
+        for lane in self.lanes:
             inputs = lane.inputs
             registers, terms = oracle.checkpoint_terms(
                 ins.name,
@@ -586,20 +574,22 @@ def run_batch(instructions, inputs) -> list[RunReport | ProtocolError]:
     """Post-selected runs of one instruction list for several inputs in one pass.
 
     The inputs must share alpha, truncation and gt; only (cb, cc) differ.
-    Entry i equals ``run_protocol(instructions, inputs[i])`` to
-    rounding, or is the ProtocolError that call raises: an input whose
-    forced outcome is impossible, or whose injection overflows the cutoff,
-    leaves the batch and is rerun alone, and the others carry on.
+    Entry i equals ``run_protocol(instructions, inputs[i])`` to rounding.
+    A batch is all or nothing: if a step fails for any input (say its
+    forced outcome is impossible, or its injection overflows the cutoff),
+    every input is rerun alone, and each entry is then exactly that call's
+    report or the ProtocolError it raises.
     """
     instructions = list(instructions)
     inputs = list(inputs)
     if len({(item.alpha, item.truncation, item.gt) for item in inputs}) > 1:
         raise ValueError("batched inputs must share alpha, truncation and gt")
-    reports: list = [None] * len(inputs)
     if len(inputs) > 1:
-        reports = _Runner(inputs, False, None).run(instructions)
-    return [report if report is not None else _run_alone(instructions, item)
-            for report, item in zip(reports, inputs)]
+        try:
+            return _Runner(inputs, False, None).run(instructions)
+        except ProtocolError:
+            pass  # rerun every input alone
+    return [_run_alone(instructions, item) for item in inputs]
 
 
 def _run_alone(instructions, inputs: RunInputs, *, sample: bool = False,

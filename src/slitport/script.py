@@ -13,6 +13,10 @@ kernel id itself.
 
 The atom state label ``input`` prepares the lambda3 superposition
 cb|b> - cc|c> carrying the amplitudes to be teleported.
+
+Validation reports every bad command at once, one error per command, in
+line order: each check raises ValueError, and the validator records the
+first one a command raises at that command's line.
 """
 
 from __future__ import annotations
@@ -330,11 +334,12 @@ def resolve_inputs(script: ProtocolScript, overrides: dict | None = None) -> pro
 
 
 class _Validator:
+    """Checks each command against the declarations before it."""
+
     def __init__(self, script: ProtocolScript, inputs: protocol.RunInputs):
         self.script = script
         self.inputs = inputs
         self.params = inputs.to_dict()
-        self.errors: list[tuple[int, str]] = []
         self.cavities: dict[str, protocol.DeclareCavity] = {}
         self.cavity_line: dict[str, int] = {}
         self.screens: dict[str, tuple[str, str]] = {}  # screen -> its slits
@@ -348,61 +353,78 @@ class _Validator:
         self.seen_config: set[str] = set()
         self.instructions: list = []
 
-    def fail(self, line: int, msg: str) -> None:
-        self.errors.append((line, msg))
+    def _checks(self):
+        """(line, check, argument): each command, then each cavity's tail bound."""
+        for cmd in self.script.commands:
+            yield cmd.line, getattr(self, f"_cmd_{cmd.keyword}"), cmd
+        # the tail bound needs every injection into the cavity
+        for name, line in self.cavity_line.items():
+            yield line, self._tail_bound, name
 
     def run(self) -> ResolvedRun:
-        for cmd in self.script.commands:
-            handler = getattr(self, f"_cmd_{cmd.keyword}")
+        errors: list[tuple[int, str]] = []
+        for line, check, arg in self._checks():
             try:
-                handler(cmd)
-            except (ValueError, KeyError) as exc:
-                self.fail(cmd.line, str(exc))
-        self._check_truncations()
-        if self.errors:
-            # the tail-bound checks run last; report in line order
-            raise ScriptError(sorted(self.errors, key=lambda error: error[0]))
+                check(arg)
+            except ValueError as exc:
+                errors.append((line, str(exc)))
+        if errors:
+            # the tail bounds are checked last; report in line order
+            raise ScriptError(sorted(errors, key=lambda error: error[0]))
         return ResolvedRun(tuple(self.instructions), self.inputs)
 
-    def _fresh(self, line: int, name: str) -> bool:
+    def _fresh(self, name: str) -> None:
         for table, kind in ((self.cavities, "cavity"), (self.screens, "screen"),
                             (self.atom_kind, "atom")):
             if name in table:
-                self.fail(line, f"{name!r} is already declared as a {kind}")
-                return False
-        return True
+                raise ValueError(f"{name!r} is already declared as a {kind}")
+
+    def _cavity(self, name: str) -> protocol.DeclareCavity:
+        if name not in self.cavities:
+            raise ValueError(f"cavity {name!r} is not declared")
+        return self.cavities[name]
+
+    def _screen(self, name: str) -> tuple[str, str]:
+        if name not in self.screens:
+            raise ValueError(f"screen {name!r} is not declared")
+        return self.screens[name]
+
+    def _atom(self, name: str) -> str:
+        """The declared atom's kind."""
+        if name not in self.atom_kind:
+            raise ValueError(f"atom {name!r} is not declared")
+        return self.atom_kind[name]
+
+    def _live(self, atom: str) -> None:
+        if not self.internal_live[atom]:
+            raise ValueError(f"atom {atom}: internal state was already detected")
 
     def _cmd_config(self, cmd: Command) -> None:
         key = cmd.args[0]
         if key in self.seen_config:
-            self.fail(cmd.line, f"config {key} given twice")
+            raise ValueError(f"config {key} given twice")
         self.seen_config.add(key)
 
     def _cmd_cavity(self, cmd: Command) -> None:
         name, alpha_arg, trunc_arg = cmd.args
-        if not self._fresh(cmd.line, name):
-            return
+        self._fresh(name)
         alpha = _resolve_number(alpha_arg, self.params)
         trunc = (self.inputs.truncation if trunc_arg is None
                  else _resolve_int(trunc_arg, self.params, f"cavity {name}"))
         if trunc < 2:
-            self.fail(cmd.line, f"cavity {name}: truncation must be at least 2")
-            return
-        self.cavities[name] = protocol.DeclareCavity(name, alpha, trunc,
-                                                     text=serialize_command(cmd))
+            raise ValueError(f"cavity {name}: truncation must be at least 2")
+        spec = protocol.DeclareCavity(name, alpha, trunc, text=serialize_command(cmd))
+        self.cavities[name] = spec
         self.cavity_line[name] = cmd.line
         self.injections[name] = 0.0
-        self.instructions.append(self.cavities[name])
+        self.instructions.append(spec)
 
     def _cmd_atom(self, cmd: Command) -> None:
         name, kind, state = cmd.args
-        if not self._fresh(cmd.line, name):
-            return
+        self._fresh(name)
         valid = ATOM_LEVELS[kind] + (("input",) if kind == "lambda3" else ())
         if state not in valid:
-            self.fail(cmd.line, f"atom {name}: unknown label {state!r} "
-                                f"(valid: {', '.join(valid)})")
-            return
+            raise ValueError(f"atom {name}: unknown label {state!r} (valid: {', '.join(valid)})")
         self.atom_kind[name] = kind
         self.internal_live[name] = True
         self.path_basis[name] = None
@@ -411,94 +433,59 @@ class _Validator:
 
     def _cmd_screen(self, cmd: Command) -> None:
         name, s1, s2 = cmd.args
-        if not self._fresh(cmd.line, name):
-            return
+        self._fresh(name)
         for slit in (s1, s2):
             if slit in self.slit_owner:
-                self.fail(cmd.line, f"slit label {slit!r} is already used by screen "
-                                    f"{self.slit_owner[slit]}")
-                return
+                raise ValueError(f"slit label {slit!r} is already used by screen "
+                                 f"{self.slit_owner[slit]}")
         self.screens[name] = (s1, s2)
-        self.slit_owner[s1] = name
-        self.slit_owner[s2] = name
+        self.slit_owner[s1] = self.slit_owner[s2] = name
 
     def _cmd_bind(self, cmd: Command) -> None:
         slit, cavity = cmd.args
         if slit not in self.slit_owner:
-            self.fail(cmd.line, f"slit {slit!r} is not declared by any screen")
-            return
-        if cavity not in self.cavities:
-            self.fail(cmd.line, f"cavity {cavity!r} is not declared")
-            return
+            raise ValueError(f"slit {slit!r} is not declared by any screen")
+        self._cavity(cavity)
         if slit in self.bindings:
-            self.fail(cmd.line, f"slit {slit} is already bound to {self.bindings[slit]}")
-            return
+            raise ValueError(f"slit {slit} is already bound to {self.bindings[slit]}")
         self.bindings[slit] = cavity
 
     def _cmd_kernel(self, cmd: Command) -> None:
         name, rows = cmd.args
         if name in self.kernels:
-            self.fail(cmd.line, f"kernel {name!r} is already declared")
-            return
-        if name in self.screens:
-            targets = self.screens[name]
-            if len(rows) != len(targets):
-                self.fail(cmd.line, f"kernel {name}: screen {name} has {len(targets)} slits "
-                                    f"but the matrix has {len(rows)} rows")
-                return
-        else:
-            if len(rows) != 1:
-                self.fail(cmd.line, f"kernel {name}: no screen named {name}, so the matrix "
-                                    "must have a single detector row")
-                return
-            targets = (name,)
+            raise ValueError(f"kernel {name!r} is already declared")
+        if name not in self.screens and len(rows) != 1:
+            raise ValueError(f"kernel {name}: no screen named {name}, so the matrix must "
+                             "have a single detector row")
+        targets = self.screens.get(name, (name,))
+        if len(rows) != len(targets):
+            raise ValueError(f"kernel {name}: screen {name} has {len(targets)} slits but the "
+                             f"matrix has {len(rows)} rows")
         self.kernels[name] = protocol.Kernel(targets, rows)
-
-    def _atom_ready(self, line: int, atom: str) -> bool:
-        if atom not in self.atom_kind:
-            self.fail(line, f"atom {atom!r} is not declared")
-            return False
-        return True
 
     def _cmd_split(self, cmd: Command) -> None:
         atom, screen = cmd.args
-        if not self._atom_ready(cmd.line, atom):
-            return
-        if screen not in self.screens:
-            self.fail(cmd.line, f"screen {screen!r} is not declared")
-            return
-        if self.path_basis.get(atom) is not None:
-            self.fail(cmd.line, f"atom {atom} is already split")
-            return
-        self.path_basis[atom] = self.screens[screen]
-        self.instructions.append(protocol.Split(atom, self.screens[screen],
-                                                text=serialize_command(cmd)))
+        self._atom(atom)
+        slits = self._screen(screen)
+        if self.path_basis[atom] is not None:
+            raise ValueError(f"atom {atom} is already split")
+        self.path_basis[atom] = slits
+        self.instructions.append(protocol.Split(atom, slits, text=serialize_command(cmd)))
 
     def _cmd_pass(self, cmd: Command) -> None:
         atom, screen, phi = cmd.args
-        if not self._atom_ready(cmd.line, atom):
-            return
-        if self.atom_kind[atom] != "lambda3":
-            self.fail(cmd.line, f"atom {atom} must be lambda3 to pass through cavities")
-            return
-        if not self.internal_live.get(atom):
-            self.fail(cmd.line, f"atom {atom}: internal state was already detected")
-            return
-        if screen not in self.screens:
-            self.fail(cmd.line, f"screen {screen!r} is not declared")
-            return
-        slits = self.screens[screen]
-        if self.path_basis.get(atom) != slits:
-            self.fail(cmd.line, f"atom {atom} is not at screen {screen}'s slits")
-            return
+        if self._atom(atom) != "lambda3":
+            raise ValueError(f"atom {atom} must be lambda3 to pass through cavities")
+        self._live(atom)
+        slits = self._screen(screen)
+        if self.path_basis[atom] != slits:
+            raise ValueError(f"atom {atom} is not at screen {screen}'s slits")
         for slit in slits:
             if slit not in self.bindings:
-                self.fail(cmd.line, f"slit {slit} has no cavity")
-                return
+                raise ValueError(f"slit {slit} has no cavity")
         bindings = tuple((slit, self.bindings[slit]) for slit in slits)
         if bindings[0][1] == bindings[1][1]:
-            self.fail(cmd.line, f"screen {screen}: both slits bind the same cavity")
-            return
+            raise ValueError(f"screen {screen}: both slits bind the same cavity")
         self.instructions.append(
             protocol.CavityPass(atom, bindings, phi.resolve(self.params),
                                 text=serialize_command(cmd))
@@ -506,70 +493,51 @@ class _Validator:
 
     def _cmd_detect(self, cmd: Command) -> None:
         atom, which, label = cmd.args
-        if not self._atom_ready(cmd.line, atom):
-            return
+        kind = self._atom(atom)
         if which == "internal":
-            if not self.internal_live.get(atom):
-                self.fail(cmd.line, f"atom {atom}: internal state was already detected")
-                return
-            valid = ATOM_LEVELS[self.atom_kind[atom]]
+            self._live(atom)
+            valid = ATOM_LEVELS[kind]
             if label not in valid:
-                self.fail(cmd.line, f"unknown label {label!r} (valid: {', '.join(valid)})")
-                return
+                raise ValueError(f"unknown label {label!r} (valid: {', '.join(valid)})")
             self.internal_live[atom] = False
         else:
-            basis = self.path_basis.get(atom)
+            basis = self.path_basis[atom]
             if basis is None:
-                self.fail(cmd.line, f"atom {atom} has no path register to detect")
-                return
+                raise ValueError(f"atom {atom} has no path register to detect")
             if label not in basis:
-                self.fail(cmd.line, f"label {label!r} is not in {atom}'s current basis "
-                                    f"({', '.join(basis)})")
-                return
+                raise ValueError(f"label {label!r} is not in {atom}'s current basis "
+                                 f"({', '.join(basis)})")
             self.path_basis[atom] = None
         self.instructions.append(protocol.Detect(atom, which, label, text=serialize_command(cmd)))
 
     def _cmd_propagate(self, cmd: Command) -> None:
         atom, kernel = cmd.args
-        if not self._atom_ready(cmd.line, atom):
-            return
+        self._atom(atom)
         if kernel not in self.kernels:
-            self.fail(cmd.line, f"kernel {kernel!r} is not declared")
-            return
-        basis = self.path_basis.get(atom)
+            raise ValueError(f"kernel {kernel!r} is not declared")
+        basis = self.path_basis[atom]
         if basis is None:
-            self.fail(cmd.line, f"atom {atom} has no path register to propagate")
-            return
+            raise ValueError(f"atom {atom} has no path register to propagate")
         spec = self.kernels[kernel]
         if spec.matrix.shape[1] != len(basis):
-            self.fail(cmd.line, f"kernel {kernel} has {spec.matrix.shape[1]} columns but "
-                                f"{atom}'s basis has {len(basis)} labels")
-            return
+            raise ValueError(f"kernel {kernel} has {spec.matrix.shape[1]} columns but "
+                             f"{atom}'s basis has {len(basis)} labels")
         self.path_basis[atom] = spec.target_labels
         self.instructions.append(protocol.Propagate(atom, spec, text=serialize_command(cmd)))
 
     def _cmd_inject(self, cmd: Command) -> None:
         cavity, beta_arg = cmd.args
-        if cavity not in self.cavities:
-            self.fail(cmd.line, f"cavity {cavity!r} is not declared")
-            return
+        self._cavity(cavity)
         beta = _resolve_number(beta_arg, self.params)
         self.injections[cavity] += abs(beta)
         self.instructions.append(protocol.Inject(cavity, beta, text=serialize_command(cmd)))
 
     def _cmd_jcpass(self, cmd: Command) -> None:
         atom, cavity, gt = cmd.args
-        if not self._atom_ready(cmd.line, atom):
-            return
-        if self.atom_kind[atom] != "qubit2":
-            self.fail(cmd.line, f"atom {atom} must be qubit2 for a resonant pass")
-            return
-        if not self.internal_live.get(atom):
-            self.fail(cmd.line, f"atom {atom}: internal state was already detected")
-            return
-        if cavity not in self.cavities:
-            self.fail(cmd.line, f"cavity {cavity!r} is not declared")
-            return
+        if self._atom(atom) != "qubit2":
+            raise ValueError(f"atom {atom} must be qubit2 for a resonant pass")
+        self._live(atom)
+        self._cavity(cavity)
         self.instructions.append(
             protocol.JcPass(atom, cavity, gt.resolve(self.params), text=serialize_command(cmd))
         )
@@ -577,23 +545,21 @@ class _Validator:
     def _cmd_checkpoint(self, cmd: Command) -> None:
         name = cmd.args[0]
         if name not in CHECKPOINTS:
-            self.fail(cmd.line, f"unknown checkpoint {name!r}")
-            return
+            raise ValueError(f"unknown checkpoint {name!r}")
         first = not any(isinstance(i, protocol.Checkpoint) for i in self.instructions)
         self.instructions.append(protocol.Checkpoint(name, text=serialize_command(cmd)))
         if self.inputs.alpha == 0 and first:
-            self.fail(cmd.line, f"checkpoint {name}: alpha is 0, so the odd cat "
-                                "|alpha> - |-alpha> vanishes and the cavities cannot record "
-                                "a slit; checkpoints need a nonzero alpha")
+            raise ValueError(f"checkpoint {name}: alpha is 0, so the odd cat "
+                             "|alpha> - |-alpha> vanishes and the cavities cannot record a "
+                             "slit; checkpoints need a nonzero alpha")
 
-    def _check_truncations(self) -> None:
-        for name, spec in self.cavities.items():
-            reach = abs(spec.alpha) + self.injections[name]
-            needed = tail_bound_dim(reach)
-            if spec.truncation < needed:
-                self.fail(self.cavity_line[name],
-                          f"cavity {name}: truncation {spec.truncation} is below the tail "
-                          f"bound {needed} for amplitude reach {fmt_real(reach)}")
+    def _tail_bound(self, name: str) -> None:
+        spec = self.cavities[name]
+        reach = abs(spec.alpha) + self.injections[name]
+        needed = tail_bound_dim(reach)
+        if spec.truncation < needed:
+            raise ValueError(f"cavity {name}: truncation {spec.truncation} is below the tail "
+                             f"bound {needed} for amplitude reach {fmt_real(reach)}")
 
 
 def resolve(script: ProtocolScript, overrides: dict | None = None) -> ResolvedRun:

@@ -306,3 +306,29 @@ def test_sweep_cb_keeps_order_and_error_entries(capsys):
         assert entry["error"] is None
         assert entry["final_fidelity"] >= 1 - 1e-8
         assert entry["cumulative_probability"] == pytest.approx(9.0352889675e-4, rel=1e-9)
+
+
+_OVERFLOW = "has a mean photon number beyond float range; no Fock cutoff can hold it"
+
+
+def test_overflowing_amplitude_exits_2_at_the_cavity_line(capsys, tmp_path):
+    script = tmp_path / "huge.qprot"
+    script.write_text("cavity C1 alpha 1e200\n")
+    for command in ("check", "run"):
+        assert main([command, str(script)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"line 1: amplitude 1.000e+200 {_OVERFLOW}\n")
+    # the reference script injects alpha into each cavity: the reach is 2 alpha
+    assert main(["paper", "--alpha", "1e200"]) == 2
+    lines = [n for n, text in enumerate(REFERENCE_SCRIPT.splitlines(), 1)
+             if text.startswith("cavity")]
+    assert capsys.readouterr().err == "".join(
+        f"line {n}: amplitude 2.000e+200 {_OVERFLOW}\n" for n in lines)
+
+
+def test_sweep_records_an_overflowing_alpha(capsys):
+    assert main(["sweep", "--param", "alpha", "--values", "1e160,2"]) == 0
+    huge, two = json.loads(capsys.readouterr().out)["runs"]
+    assert huge["error"] == f"amplitude 2.000e+160 {_OVERFLOW}"
+    assert huge["final_fidelity"] is None
+    assert two["error"] is None and two["final_fidelity"] >= 1 - 1e-8

@@ -65,6 +65,12 @@ def test_tail_bound_dim():
         assert coherent_tail_mass(amp, n) < 1e-8
 
 
+@pytest.mark.parametrize("amp", [1e200, -1e160j, complex(1e154, 1e154), math.inf])
+def test_tail_bound_dim_rejects_an_overflowing_mean_photon_number(amp):
+    with pytest.raises(TruncationError, match="beyond float range; no Fock cutoff can hold it"):
+        tail_bound_dim(amp)
+
+
 # --- cat states ---
 
 

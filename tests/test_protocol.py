@@ -580,6 +580,8 @@ def test_batch_impossible_input_fails_alone():
     detected = {s.name: s.probability for s in passed.steps if s.kind == "detect_internal"}
     assert detected["detect A internal c"] == pytest.approx(0.64, abs=1e-12)
     assert passed.cumulative_probability < 0.64
+    # the batch fell back to single runs, so the survivor's report is exact
+    assert passed.to_json() == run_protocol(run.instructions, inputs[1]).to_json()
 
 
 def test_batch_injection_tail_is_per_input():
@@ -597,6 +599,9 @@ def test_batch_injection_tail_is_per_input():
     first, second, third = run_batch(instructions, inputs)
     assert 5e-9 < first.truncation_tail_mass < second.truncation_tail_mass < 1e-8
     assert isinstance(third.cause, TruncationError)
+    # the batch fell back to single runs, so each survivor's report is exact
+    for report, item in ((first, inputs[0]), (second, inputs[1])):
+        assert report.to_json() == run_protocol(instructions, item).to_json()
 
 
 def test_batch_needs_shared_field_parameters():

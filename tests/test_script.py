@@ -632,3 +632,16 @@ def test_validator_message(text, errors):
     with pytest.raises(ScriptError) as err:
         resolve(parse(text))
     assert err.value.errors == errors
+
+
+@pytest.mark.parametrize("text, error", [
+    ("cavity C1 alpha 1e200", (1, "amplitude 1.000e+200")),
+    # each amplitude is finite, but their sum is not
+    ("cavity C1 alpha 1\ncavity C2 alpha 1e308\ninject C2 1e308", (2, "amplitude inf")),
+])
+def test_overflowing_amplitude_reach_is_reported_at_the_cavity_line(text, error):
+    line, amplitude = error
+    with pytest.raises(ScriptError) as err:
+        resolve(parse(text))
+    assert err.value.errors == [(line, f"{amplitude} has a mean photon number beyond float "
+                                       "range; no Fock cutoff can hold it")]
