@@ -187,7 +187,8 @@ class RunInputs:
         if truncation != self.truncation:
             raise ValueError(f"truncation must be an integer, got {self.truncation}")
         object.__setattr__(self, "truncation", truncation)
-        deviation = abs(abs(self.cb) ** 2 + abs(self.cc) ** 2 - 1.0)
+        # a product past float range is inf, where a power would raise OverflowError
+        deviation = abs(abs(self.cb) * abs(self.cb) + abs(self.cc) * abs(self.cc) - 1.0)
         if deviation > 1e-9:
             raise ValueError(
                 f"|cb|^2 + |cc|^2 must be 1 (off by {deviation:.3e}); "
@@ -403,7 +404,7 @@ class _Runner:
                 self.execute(ins)
             except (ImpossibleOutcomeError, ValueError) as exc:
                 raise ProtocolError(
-                    f"step failed ({ins.text or type(ins).__name__}): {exc}",
+                    f"step failed ({getattr(ins, 'text', None) or type(ins).__name__}): {exc}",
                     report=self.lanes[0].report(),
                     cause=exc,
                 ) from exc

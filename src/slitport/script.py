@@ -4,12 +4,13 @@ One command per line, ``#`` comments, whitespace-separated tokens.
 ``SYNTAX`` holds each keyword's usage line; the parser, the serializer and
 the message for a malformed line all read it.
 
-Angles admit exact symbolic forms (``pi``, ``pi/8``).  Number slots also
-accept ``$name`` references to the run parameters (alpha, truncation, gt,
-cb, cc) so one script serves sweeps and command-line overrides.  A kernel
-whose id names a screen propagates onto that screen's slits; any other
-kernel must have a single row and lands on a detector point named by the
-kernel id itself.
+Angles admit exact symbolic forms (``pi``, ``pi/8``).  NUM, INT and ANGLE
+slots also accept ``$name`` references to the run parameters (alpha,
+truncation, gt, cb, cc) so one script serves sweeps and command-line
+overrides; an INT slot needs an integral one, an ANGLE slot a real one.
+A kernel whose id names a screen propagates onto that screen's slits; any
+other kernel must have a single row and lands on a detector point named by
+the kernel id itself.
 
 The atom state label ``input`` prepares the lambda3 superposition
 cb|b> - cc|c> carrying the amplitudes to be teleported.
@@ -51,10 +52,12 @@ SYNTAX = {
     "checkpoint": "checkpoint NAME",
 }
 KEYWORDS = tuple(SYNTAX)
+# the value slots a $parameter may fill, and the type each resolves to
+_SLOT_TYPES = {"NUM": complex, "INT": int, "ANGLE": float}
 # each run parameter's value slot, from its type in RunInputs (a string there,
 # since protocol postpones the evaluation of annotations)
-_PARAM_SLOTS = {field.name: {"complex": "NUM", "int": "INT", "float": "ANGLE"}[field.type]
-                for field in fields(protocol.RunInputs)}
+_PARAM_SLOTS = {field.name: slot for field in fields(protocol.RunInputs)
+                for slot, kind in _SLOT_TYPES.items() if field.type == kind.__name__}
 PARAM_NAMES = tuple(_PARAM_SLOTS)
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -77,32 +80,16 @@ class ParamRef:
 
 @dataclass(frozen=True)
 class Angle:
-    """An angle literal: plain number, 'pi', 'pi/N', or a $parameter."""
+    """An angle literal: its canonical text ('pi', 'pi/N' or a number) and value."""
 
-    kind: str  # value | pi | pifrac | param
-    value: float | int | str = 0.0
-
-    def resolve(self, params: dict) -> float:
-        if self.kind == "value":
-            return float(self.value)
-        if self.kind == "pi":
-            return math.pi
-        if self.kind == "pifrac":
-            return math.pi / int(self.value)
-        return float(_resolve_number(ParamRef(str(self.value)), params).real)
+    text: str
+    value: float
 
     def __float__(self) -> float:
-        """A literal angle's value; config lines and flags give no $parameter."""
-        return self.resolve({})
+        return self.value
 
     def __str__(self) -> str:
-        if self.kind == "value":
-            return fmt_real(float(self.value))
-        if self.kind == "pi":
-            return "pi"
-        if self.kind == "pifrac":
-            return f"pi/{int(self.value)}"
-        return f"${self.value}"
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -129,18 +116,7 @@ class ResolvedRun:
 # parsing
 
 
-def _parse_number(token: str):
-    if token.startswith("$"):
-        name = token[1:]
-        if name not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {token!r} (valid: {', '.join(PARAM_NAMES)})")
-        return ParamRef(name)
-    return parse_complex(token)
-
-
-def _parse_int(token: str):
-    if token.startswith("$"):
-        return _parse_number(token)
+def _parse_int(token: str) -> int:
     if not re.match(r"^[+-]?\d+$", token):
         raise ValueError(f"not an integer: {token!r}")
     return int(token)
@@ -148,19 +124,16 @@ def _parse_int(token: str):
 
 def _parse_angle(token: str) -> Angle:
     if token == "pi":
-        return Angle("pi")
+        return Angle("pi", math.pi)
     if token.startswith("pi/"):
         denom = token[3:]
         if not denom.isdigit() or int(denom) == 0:
             raise ValueError(f"bad angle {token!r}, expected pi/<positive int>")
-        return Angle("pifrac", int(denom))
-    if token.startswith("$"):
-        ref = _parse_number(token)
-        return Angle("param", ref.name)
+        return Angle(f"pi/{int(denom)}", math.pi / int(denom))
     value = parse_complex(token)
     if value.imag != 0:
         raise ValueError(f"angle must be real, got {token!r}")
-    return Angle("value", value.real)
+    return Angle(fmt_real(value.real), value.real)
 
 
 def _parse_matrix(text: str) -> tuple:
@@ -181,7 +154,7 @@ def _parse_matrix(text: str) -> tuple:
     return tuple(rows)
 
 
-_SLOTS = {"NUM": _parse_number, "INT": _parse_int, "ANGLE": _parse_angle, "MATRIX": _parse_matrix}
+_SLOTS = {"NUM": parse_complex, "INT": _parse_int, "ANGLE": _parse_angle, "MATRIX": _parse_matrix}
 # how a message names an identifier slot
 _IDENT_ROLES = {"ID": "{keyword} id", "NAME": "{keyword} name", "SLIT": "slit label",
                 "LABEL": "label"}
@@ -214,6 +187,10 @@ def _parse_slot(keyword: str, word: str, token: str):
         if token not in choices:
             raise ValueError(f"expected {' or '.join(choices)}, got {token!r}")
         return token
+    if token.startswith("$") and word in _SLOT_TYPES:
+        if token[1:] not in PARAM_NAMES:
+            raise ValueError(f"unknown parameter {token!r} (valid: {', '.join(PARAM_NAMES)})")
+        return ParamRef(token[1:])
     if word in _SLOTS:
         return _SLOTS[word](token)
     if not _IDENT_RE.match(token):
@@ -306,31 +283,35 @@ def serialize(script: ProtocolScript) -> str:
 # validation and lowering
 
 
-def _resolve_number(value, params: dict) -> complex:
-    if isinstance(value, ParamRef):
-        return complex(params[value.name])
-    return complex(value)
-
-
-def _resolve_int(value, params: dict, what: str) -> int:
+def _resolve(value, inputs: protocol.RunInputs, what: str, kind: str):
+    """A NUM, INT or ANGLE slot's value; a $parameter is read off the inputs."""
     if not isinstance(value, ParamRef):
-        return int(value)
-    resolved = _resolve_number(value, params)
-    if resolved.imag != 0 or not resolved.real.is_integer():
-        raise ValueError(f"{what}: parameter ${value.name} is not an integer")
-    return int(resolved.real)
+        return _SLOT_TYPES[kind](value)
+    number = complex(getattr(inputs, value.name))
+    if kind == "INT" and not (number.imag == 0 and number.real.is_integer()):
+        raise ValueError(f"{what}: parameter {value} is not an integer")
+    if kind == "ANGLE" and number.imag != 0:
+        raise ValueError(f"{what}: parameter {value} is not real")
+    return _SLOT_TYPES[kind](number if kind == "NUM" else number.real)
 
 
 def resolve_inputs(script: ProtocolScript, overrides: dict | None = None) -> protocol.RunInputs:
     """Effective run parameters: defaults, then config lines, then overrides."""
-    values = dict(cmd.args for cmd in script.commands if cmd.keyword == "config")
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    for key in flags:
         if key not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {key!r}")
-        values[key] = value
-    return protocol.RunInputs(**values)
+    configs = {cmd.args[0]: cmd for cmd in script.commands
+               if cmd.keyword == "config" and cmd.args[0] not in flags}
+    try:
+        return protocol.RunInputs(**{key: cmd.args[1] for key, cmd in configs.items()}, **flags)
+    except ValueError as exc:
+        # a check's message names the parameters it reads; report it at the
+        # latest config line that set one of them and no flag overrode
+        lines = [cmd.line for key, cmd in configs.items() if key in re.findall(r"\w+", str(exc))]
+        if not lines:
+            raise
+        raise ScriptError([(max(lines), str(exc))]) from None
 
 
 class _Validator:
@@ -339,7 +320,6 @@ class _Validator:
     def __init__(self, script: ProtocolScript, inputs: protocol.RunInputs):
         self.script = script
         self.inputs = inputs
-        self.params = inputs.to_dict()
         self.cavities: dict[str, protocol.DeclareCavity] = {}
         self.cavity_line: dict[str, int] = {}
         self.screens: dict[str, tuple[str, str]] = {}  # screen -> its slits
@@ -374,10 +354,10 @@ class _Validator:
         return ResolvedRun(tuple(self.instructions), self.inputs)
 
     def _fresh(self, name: str) -> None:
-        for table, kind in ((self.cavities, "cavity"), (self.screens, "screen"),
-                            (self.atom_kind, "atom")):
+        for table, kind in ((self.cavities, "a cavity"), (self.screens, "a screen"),
+                            (self.atom_kind, "an atom")):
             if name in table:
-                raise ValueError(f"{name!r} is already declared as a {kind}")
+                raise ValueError(f"{name!r} is already declared as {kind}")
 
     def _cavity(self, name: str) -> protocol.DeclareCavity:
         if name not in self.cavities:
@@ -408,9 +388,9 @@ class _Validator:
     def _cmd_cavity(self, cmd: Command) -> None:
         name, alpha_arg, trunc_arg = cmd.args
         self._fresh(name)
-        alpha = _resolve_number(alpha_arg, self.params)
+        alpha = _resolve(alpha_arg, self.inputs, f"cavity {name}", "NUM")
         trunc = (self.inputs.truncation if trunc_arg is None
-                 else _resolve_int(trunc_arg, self.params, f"cavity {name}"))
+                 else _resolve(trunc_arg, self.inputs, f"cavity {name}", "INT"))
         if trunc < 2:
             raise ValueError(f"cavity {name}: truncation must be at least 2")
         spec = protocol.DeclareCavity(name, alpha, trunc, text=serialize_command(cmd))
@@ -486,10 +466,9 @@ class _Validator:
         bindings = tuple((slit, self.bindings[slit]) for slit in slits)
         if bindings[0][1] == bindings[1][1]:
             raise ValueError(f"screen {screen}: both slits bind the same cavity")
+        phi = _resolve(phi, self.inputs, f"pass {atom}", "ANGLE")
         self.instructions.append(
-            protocol.CavityPass(atom, bindings, phi.resolve(self.params),
-                                text=serialize_command(cmd))
-        )
+            protocol.CavityPass(atom, bindings, phi, text=serialize_command(cmd)))
 
     def _cmd_detect(self, cmd: Command) -> None:
         atom, which, label = cmd.args
@@ -528,7 +507,7 @@ class _Validator:
     def _cmd_inject(self, cmd: Command) -> None:
         cavity, beta_arg = cmd.args
         self._cavity(cavity)
-        beta = _resolve_number(beta_arg, self.params)
+        beta = _resolve(beta_arg, self.inputs, f"inject {cavity}", "NUM")
         self.injections[cavity] += abs(beta)
         self.instructions.append(protocol.Inject(cavity, beta, text=serialize_command(cmd)))
 
@@ -538,9 +517,8 @@ class _Validator:
             raise ValueError(f"atom {atom} must be qubit2 for a resonant pass")
         self._live(atom)
         self._cavity(cavity)
-        self.instructions.append(
-            protocol.JcPass(atom, cavity, gt.resolve(self.params), text=serialize_command(cmd))
-        )
+        gt = _resolve(gt, self.inputs, f"jcpass {atom}", "ANGLE")
+        self.instructions.append(protocol.JcPass(atom, cavity, gt, text=serialize_command(cmd)))
 
     def _cmd_checkpoint(self, cmd: Command) -> None:
         name = cmd.args[0]
@@ -559,7 +537,7 @@ class _Validator:
         needed = tail_bound_dim(reach)
         if spec.truncation < needed:
             raise ValueError(f"cavity {name}: truncation {spec.truncation} is below the tail "
-                             f"bound {needed} for amplitude reach {fmt_real(reach)}")
+                             f"bound {fmt_real(needed)} for amplitude reach {fmt_real(reach)}")
 
 
 def resolve(script: ProtocolScript, overrides: dict | None = None) -> ResolvedRun:

@@ -136,6 +136,25 @@ def test_check_rejects_unnormalized_config(capsys, tmp_path):
     assert "|cb|^2" in capsys.readouterr().err
 
 
+_PASS_CB = ("config cb 0.6+0.8i\nconfig cc 0\ncavity C1 alpha 1\ncavity C2 alpha 1\n"
+            "screen S u v\nbind u C1\nbind v C2\natom A lambda3 state b\nsplit A S\n"
+            "pass A S phi $cb\n")
+
+
+@pytest.mark.parametrize("text, argv, err", [
+    ("config cb 2\n", ["check"], "line 1: |cb|^2 + |cc|^2 must be 1 (off by 3.500e+00); "
+                                 "the teleported state is a normalized path qubit\n"),
+    (_PASS_CB, ["check"], "line 10: pass A: parameter $cb is not real\n"),
+    ("cavity C1 alpha 1\natom P qubit2 state f\njcpass P C1 gt $alpha\n",
+     ["run", "--alpha", "2+1i"], "line 3: jcpass P: parameter $alpha is not real\n"),
+])
+def test_parameter_errors_name_their_line(capsys, tmp_path, text, argv, err):
+    path = tmp_path / "params.qprot"
+    path.write_text(text)
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--param", "gt", "--values", "0.3", "--min-fidelity", "2"],
     ["paper", "--min-fidelity", "nan"],

@@ -470,3 +470,32 @@ def test_opposite_parity_states_orthogonal():
     even = make_state([Register.mode("C1", n)], {"C1": cat_state(1.5, +1, n)})
     odd = make_state([Register.mode("C1", n)], {"C1": cat_state(1.5, -1, n)})
     assert fidelity(even, odd) == 0.0
+
+
+def outcome(call):
+    """A call's value, or the type and message of the error it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_QUTRIT = make_state([Register.lambda3("A")], {"A": "b"})
+
+
+# checks that no other test reaches: each call's value, or its exact error
+@pytest.mark.parametrize("call, expected", [
+    (lambda: Register.path("p", ()), (RegisterError, "register p: empty label list")),
+    (lambda: Register.mode("M", 0), (RegisterError, "register M: mode dim must be positive")),
+    (lambda: CompositeState((Register.lambda3("A"),), np.ones(2)),
+     (RegisterError, "amplitude vector has length 2, register product is 3")),
+    (lambda: OperatorMatrix(("A",), np.ones((2, 3))),
+     (RegisterError, "operator matrix must be square, got shape (2, 3)")),
+    (lambda: OperatorMatrix(("A",), np.eye(3)).on("A", "B"),
+     (RegisterError, "operator targets 1 registers, got 2 names")),
+    (lambda: BlockOperator(("A", "C"), np.zeros((2, 2, 2)), (0, -1)),
+     (RegisterError, "block shifts must be non-negative, got (0, -1)")),
+    (lambda: reorder(_QUTRIT, ("B",)), (RegisterError, "cannot reorder ('A',) as ('B',)")),
+])
+def test_rarely_reached_check(call, expected):
+    assert outcome(call) == expected

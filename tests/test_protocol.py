@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _fuzzed_script
+from test_fockspace import outcome
 
 from slitport import oracle
 from slitport.fockspace import (
@@ -608,3 +609,27 @@ def test_batch_needs_shared_field_parameters():
     run = reference_run()
     with pytest.raises(ValueError, match="share alpha"):
         run_batch(run.instructions, [RunInputs(), RunInputs(gt=0.3)])
+
+
+# branches the reference runs never reach: each call's value, or its exact error
+@pytest.mark.parametrize("call, expected", [
+    (lambda: split_at_screen(fresh_atom_state(), "A1", ("u", "v", "w")),
+     (RegisterError, "a screen must have exactly 2 slits, got ('u', 'v', 'w')")),
+    (lambda: conditional_cavity_pass(split_at_screen(fresh_atom_state(), "A1", SLITS), "A1",
+                                     (("u", "C1"), ("v", "C2")), math.pi),
+     (RegisterError, "atom A1 path basis ('sl1', 'sl2') is not the slits ('u', 'v')")),
+    # a step that is no instruction, and has no text to name it by, fails cleanly
+    (lambda: run_protocol(["warp"], RunInputs()),
+     (ProtocolError, "step failed (str): unknown instruction 'warp'")),
+    (lambda: Kernel(("u", "v"), [[1, 0]]),
+     (RegisterError, "kernel matrix shape (1, 2) does not match 2 target labels")),
+    (lambda: RunInputs(truncation=1), (ValueError, "truncation must be at least 2")),
+    # |cc|^2 is past float range: the check fails rather than overflowing
+    (lambda: RunInputs(cc=1e200), (ValueError, "|cb|^2 + |cc|^2 must be 1 (off by inf); "
+                                               "the teleported state is a normalized path qubit")),
+    (lambda: canonical_json({}), "{}"),
+    (lambda: canonical_json([]), "[]"),
+    (lambda: canonical_json(object()), (TypeError, "cannot serialize <class 'object'>")),
+])
+def test_rarely_reached_branch(call, expected):
+    assert outcome(call) == expected

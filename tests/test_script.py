@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from test_fockspace import outcome
 
 from slitport.fockspace import ATOM_LEVELS
 from slitport.numformat import fmt_complex, fmt_real, parse_complex
@@ -40,6 +41,15 @@ def test_parse_complex_forms():
         parse_complex("nope")
 
 
+# forms no other test reaches: each token's value, or its exact error
+@pytest.mark.parametrize("token, expected", [
+    ("", (ValueError, "not a number: ''")),
+    ("-i", -1j),
+])
+def test_parse_complex_edge_form(token, expected):
+    assert outcome(lambda: parse_complex(token)) == expected
+
+
 @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
 @example(1.5)
 @example(-2j)
@@ -74,13 +84,13 @@ def test_parse_cavity_command():
 
 def test_parse_symbolic_phi():
     cmd = parse("pass A1 SC1 phi pi").commands[0]
-    assert cmd.args[2] == Angle("pi")
-    assert cmd.args[2].resolve({}) == math.pi
+    assert cmd.args[2] == Angle("pi", math.pi)
+    assert float(cmd.args[2]) == math.pi
 
 
 def test_parse_pi_fraction_and_param():
     cmd = parse("jcpass A51 C1 gt pi/8").commands[0]
-    assert cmd.args[2].resolve({}) == pytest.approx(math.pi / 8)
+    assert float(cmd.args[2]) == pytest.approx(math.pi / 8)
     cmd = parse("inject C1 $alpha").commands[0]
     assert cmd.args[1] == ParamRef("alpha")
 
@@ -336,11 +346,11 @@ _PARAM = st.sampled_from(PARAM_NAMES)
 _NUMBER = st.one_of(_COMPLEX, _PARAM.map(ParamRef))
 _INT = st.integers(-10**6, 10**6)
 _LITERAL_ANGLE = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: Angle("value", x)),
-    st.just(Angle("pi")),
-    st.integers(1, 10**6).map(lambda n: Angle("pifrac", n)),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: Angle(fmt_real(x), x)),
+    st.just(Angle("pi", math.pi)),
+    st.integers(1, 10**6).map(lambda n: Angle(f"pi/{n}", math.pi / n)),
 )
-_ANGLE = st.one_of(_LITERAL_ANGLE, _PARAM.map(lambda name: Angle("param", name)))
+_ANGLE = st.one_of(_LITERAL_ANGLE, _PARAM.map(ParamRef))
 _MATRIX = st.integers(1, 3).flatmap(lambda width: st.lists(
     st.lists(_COMPLEX, min_size=width, max_size=width).map(tuple), min_size=1, max_size=3,
 ).map(tuple))
@@ -541,10 +551,51 @@ def test_config_accepts_complex_amplitudes():
     assert abs(abs(run.inputs.cb) ** 2 + abs(run.inputs.cc) ** 2 - 1) < 1e-9
 
 
+_UNNORMALIZED = ("|cb|^2 + |cc|^2 must be 1 (off by {}); "
+                 "the teleported state is a normalized path qubit")
+
+
+# a run parameter check that fails on a config line's value names the latest
+# config line that set a parameter the check reads; with no such line, as when
+# only flags set them, the error has no line
+@pytest.mark.parametrize("text, overrides, expected", [
+    ("config cb 2", {}, (ScriptError, "line 1: " + _UNNORMALIZED.format("3.500e+00"))),
+    ("config cc 0.6\nconfig alpha 1\n\nconfig cb 0.6\nconfig gt 1", {},
+     (ScriptError, "line 4: " + _UNNORMALIZED.format("2.800e-01"))),
+    ("config cb 2\nconfig cc 0", {"cb": 0.6},
+     (ScriptError, "line 2: " + _UNNORMALIZED.format("6.400e-01"))),
+    ("config truncation 1\nconfig cb 1\nconfig cc 0", {},
+     (ScriptError, "line 1: truncation must be at least 2")),
+    ("config cb 0.6\nconfig cc 1e200", {}, (ScriptError, "line 2: " + _UNNORMALIZED.format("inf"))),
+    ("config alpha 1\nconfig cb 0.6", {"cb": 2}, (ValueError, _UNNORMALIZED.format("3.500e+00"))),
+])
+def test_failed_parameter_check_names_its_config_line(text, overrides, expected):
+    assert outcome(lambda: resolve(parse(text), overrides)) == expected
+
+
 def test_integer_slot_rejects_a_real_parameter():
     with pytest.raises(ScriptError) as err:
         resolve(parse("config gt 70.5\ncavity C1 alpha 1 truncation $gt\n"))
     assert err.value.errors == [(2, "cavity C1: parameter $gt is not an integer")]
+
+
+_PASS_AT_S = ("cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v C2\n"
+              "atom A lambda3 state b\nsplit A S\n")
+
+
+@pytest.mark.parametrize("text, overrides, real, error", [
+    ("config cb 0.6+0.8i\nconfig cc 0\n" + _PASS_AT_S + "pass A S phi $cb", {},
+     {"cb": 0.6, "cc": 0.8}, (10, "pass A: parameter $cb is not real")),
+    ("cavity C1 alpha 1\natom P qubit2 state f\njcpass P C1 gt $alpha", {"alpha": 2 + 1j},
+     {"alpha": 2.5}, (3, "jcpass P: parameter $alpha is not real")),
+])
+def test_angle_slot_rejects_a_complex_parameter(text, overrides, real, error):
+    with pytest.raises(ScriptError) as err:
+        resolve(parse(text), overrides)
+    assert err.value.errors == [error]
+    # a real parameter fills the same slot
+    last = resolve(parse(text), real).instructions[-1]
+    assert (last.phi if isinstance(last, CavityPass) else last.gt) == next(iter(real.values()))
 
 
 def test_cavity_complex_alpha():
@@ -559,7 +610,7 @@ _LAYOUT = "cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v
 @pytest.mark.parametrize("text, errors", [
     ("cavity C1 alpha 1\ncavity C1 alpha 2", [(2, "'C1' is already declared as a cavity")]),
     ("screen S u v\natom S lambda3 state b", [(2, "'S' is already declared as a screen")]),
-    ("atom A lambda3 state b\nscreen A u v", [(2, "'A' is already declared as a atom")]),
+    ("atom A lambda3 state b\nscreen A u v", [(2, "'A' is already declared as an atom")]),
     ("config alpha 2\nconfig alpha 3", [(2, "config alpha given twice")]),
     ("cavity C1 alpha 1 truncation 1", [(1, "cavity C1: truncation must be at least 2")]),
     ("config gt 70.5\ncavity C1 alpha 1 truncation $gt",
@@ -634,14 +685,19 @@ def test_validator_message(text, errors):
     assert err.value.errors == errors
 
 
+_OVERFLOW = "has a mean photon number beyond float range; no Fock cutoff can hold it"
+
+
 @pytest.mark.parametrize("text, error", [
-    ("cavity C1 alpha 1e200", (1, "amplitude 1.000e+200")),
+    ("cavity C1 alpha 1e200", (1, f"amplitude 1.000e+200 {_OVERFLOW}")),
     # each amplitude is finite, but their sum is not
-    ("cavity C1 alpha 1\ncavity C2 alpha 1e308\ninject C2 1e308", (2, "amplitude inf")),
+    ("cavity C1 alpha 1\ncavity C2 alpha 1e308\ninject C2 1e308",
+     (2, f"amplitude inf {_OVERFLOW}")),
+    # a bound past 2**53 prints in fmt_real form, as the reach does
+    ("cavity C1 alpha 1e100", (1, "cavity C1: truncation 64 is below the tail bound "
+                                  "9.9999999999999997e+199 for amplitude reach 1e+100")),
 ])
 def test_overflowing_amplitude_reach_is_reported_at_the_cavity_line(text, error):
-    line, amplitude = error
     with pytest.raises(ScriptError) as err:
         resolve(parse(text))
-    assert err.value.errors == [(line, f"{amplitude} has a mean photon number beyond float "
-                                       "range; no Fock cutoff can hold it")]
+    assert err.value.errors == [error]
