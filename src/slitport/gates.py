@@ -45,6 +45,7 @@ def coherent_tail_mass(alpha: complex, truncation: int) -> float:
 def _coherent_raw(alpha: complex, truncation: int) -> np.ndarray:
     if truncation < 1:
         raise TruncationError("truncation must be at least 1")
+    tail_bound_dim(alpha)  # raises for an amplitude past float range
     c = np.zeros(truncation, dtype=complex)
     c[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, truncation):
@@ -71,12 +72,31 @@ def cat_state(alpha: complex, sign: int, truncation: int) -> np.ndarray:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if sign == -1 and alpha == 0:
-        raise ValueError("odd superposition of |0> and |-0> is the zero vector")
     c = coherent_amplitudes(alpha, truncation)
     parity = (-1.0) ** np.arange(truncation)
     vec = c + sign * parity * c
-    return vec / np.linalg.norm(vec)
+    # zero at alpha = 0, and wherever |alpha|^2 underflows
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise ValueError(f"the odd cat |alpha> - |-alpha> vanishes at |alpha| = {abs(alpha):.3g}, "
+                         "so the cavities cannot record a slit")
+    return vec / norm
+
+
+def _phases(phi: float, truncation: int) -> np.ndarray:
+    """The dispersive phase factor e^{i phi n} for each photon number n."""
+    if not math.isfinite(phi * (truncation - 1)):
+        raise ValueError(f"the dispersive phase phi·n overflows a float for phi = {phi:.3g} "
+                         f"at n = {truncation - 1}")
+    return np.exp(1j * phi * np.arange(truncation))
+
+
+def rabi_angles(gt: float, truncation: int) -> np.ndarray:
+    """The resonant pass's Rabi angle gt·√n for each photon number n."""
+    if not math.isfinite(gt * math.sqrt(truncation - 1)):
+        raise ValueError(f"the Rabi angle gt·√n overflows a float for gt = {gt:.3g} "
+                         f"at n = {truncation - 1}")
+    return gt * np.sqrt(np.arange(truncation))
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +138,7 @@ def dispersive_lambda(phi: float, truncation: int) -> OperatorMatrix:
 
     Targets (atom, mode) with the atom axis slow.
     """
-    phase = np.exp(1j * phi * np.arange(truncation))
+    phase = _phases(phi, truncation)
     plus = np.diag((phase + 1.0) / 2.0)
     minus = np.diag((phase - 1.0) / 2.0)
     m = np.zeros((3 * truncation, 3 * truncation), dtype=complex)
@@ -137,7 +157,7 @@ def dispersive_lambda(phi: float, truncation: int) -> OperatorMatrix:
 @lru_cache(maxsize=None)
 def dispersive_blocks(phi: float, truncation: int) -> BlockOperator:
     """dispersive_lambda as one 3x3 (a, b, c) block per photon number n."""
-    phase = np.exp(1j * phi * np.arange(truncation))
+    phase = _phases(phi, truncation)
     m = np.zeros((truncation, 3, 3), dtype=complex)
     m[:, 0, 0] = -phase
     m[:, 1, 1] = m[:, 2, 2] = (phase + 1.0) / 2.0
@@ -176,22 +196,11 @@ def jc_unitary(gt: float, truncation: int) -> OperatorMatrix:
     if truncation < 2:
         raise TruncationError("jc_unitary needs truncation >= 2")
     n = truncation
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-
-    def f(k: int) -> int:
-        return k
-
-    def e(k: int) -> int:
-        return n + k
-
-    m[f(0), f(0)] = 1.0
-    for k in range(1, n):
-        theta = gt * math.sqrt(k)
-        m[f(k), f(k)] = math.cos(theta)
-        m[e(k - 1), f(k)] = -1j * math.sin(theta)
-        m[e(k - 1), e(k - 1)] = math.cos(theta)
-        m[f(k), e(k - 1)] = -1j * math.sin(theta)
-    m[e(n - 1), e(n - 1)] = 1.0
+    m = np.eye(2 * n, dtype=complex)  # |f, 0> and |e, n-1> stay put
+    for k, theta in enumerate(rabi_angles(gt, n)[1:], start=1):
+        f, e = k, n + k - 1  # |f, k> and its partner |e, k-1>
+        m[f, f] = m[e, e] = math.cos(theta)
+        m[e, f] = m[f, e] = -1j * math.sin(theta)
     return OperatorMatrix(("probe", "mode"), m, unitary=True)
 
 
@@ -206,8 +215,7 @@ def jc_blocks(gt: float, truncation: int) -> BlockOperator:
         raise TruncationError("jc_blocks needs truncation >= 2")
     m = np.zeros((truncation + 1, 2, 2), dtype=complex)
     m[0] = m[truncation] = np.eye(2)
-    for k in range(1, truncation):
-        theta = gt * math.sqrt(k)
+    for k, theta in enumerate(rabi_angles(gt, truncation)[1:], start=1):
         m[k] = [[math.cos(theta), -1j * math.sin(theta)],
                 [-1j * math.sin(theta), math.cos(theta)]]
     return BlockOperator(("probe", "mode"), m, (0, 1))

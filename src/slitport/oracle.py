@@ -4,9 +4,9 @@ Each checkpoint state is assembled directly from coherent/cat-state
 formulas and hand-derived branch coefficients, never by running the
 engine, so checkpoint comparisons are genuinely independent.
 
-The register names and slit labels follow the built-in reference
-scenario: cavities C1/C2 behind slits sl1/sl2 of the first screen,
-lambda atoms A1..A4, probe atoms A51/A52.
+CHECKPOINT_REGISTERS names each checkpoint's registers as the built-in
+reference scenario declares them: cavities C1/C2 behind slits sl1/sl2 of
+the first screen, lambda atoms A1..A4, probe atoms A51/A52.
 """
 
 from __future__ import annotations
@@ -17,27 +17,33 @@ from functools import lru_cache
 import numpy as np
 
 from .fockspace import ATOM_LEVELS, CompositeState, Register, basis_column
-from .gates import cat_state, coherent_amplitudes
+from .gates import cat_state, coherent_amplitudes, rabi_angles
 
-CHECKPOINTS = (
-    "A1_split",
-    "A1_after_cavities",
-    "A12_after_cavities",
-    "A12_post_c1b2",
-    "A123_after_cavities",
-    "A123_post_b3",
-    "A123_post_zeta31",
-    "A12_pre_SC3",
-    "A2_post_gamma1",
-    "TELEPST1",
-    "A24_after_cavities",
-    "A24_post_rho1",
-    "A24_post_b4",
-    "TELEPST2",
-    "POST_INJECTION",
-    "POST_JC",
-    "FINAL",
-)
+_CAVITIES = {"C1": "mode", "C2": "mode"}
+# each checkpoint's registers and their kinds, in the engine's order at that
+# stage; the checkpoints are in protocol order
+CHECKPOINT_REGISTERS = {
+    "A1_split": _CAVITIES | {"A1": "lambda3", "A1_path": "path"},
+    "A1_after_cavities": _CAVITIES | {"A1": "lambda3", "A1_path": "path"},
+    "A12_after_cavities": _CAVITIES | {"A1": "lambda3", "A1_path": "path",
+                                       "A2": "lambda3", "A2_path": "path"},
+    "A12_post_c1b2": _CAVITIES | {"A1_path": "path", "A2_path": "path"},
+    "A123_after_cavities": _CAVITIES | {"A1_path": "path", "A2_path": "path",
+                                        "A3": "lambda3", "A3_path": "path"},
+    "A123_post_b3": _CAVITIES | {"A1_path": "path", "A2_path": "path", "A3_path": "path"},
+    "A123_post_zeta31": _CAVITIES | {"A1_path": "path", "A2_path": "path"},
+    "A12_pre_SC3": _CAVITIES | {"A1_path": "path", "A2_path": "path"},
+    "A2_post_gamma1": _CAVITIES | {"A2_path": "path"},
+    "TELEPST1": _CAVITIES | {"A2_path": "path"},
+    "A24_after_cavities": _CAVITIES | {"A2_path": "path", "A4": "lambda3", "A4_path": "path"},
+    "A24_post_rho1": _CAVITIES | {"A4": "lambda3", "A4_path": "path"},
+    "A24_post_b4": _CAVITIES | {"A4_path": "path"},
+    "TELEPST2": _CAVITIES | {"A4_path": "path"},
+    "POST_INJECTION": _CAVITIES | {"A4_path": "path"},
+    "POST_JC": _CAVITIES | {"A4_path": "path", "A51": "qubit2", "A52": "qubit2"},
+    "FINAL": {"A4_path": "path"},
+}
+CHECKPOINTS = tuple(CHECKPOINT_REGISTERS)
 
 SLITS = ("sl1", "sl2")
 
@@ -80,10 +86,10 @@ class _Parts:
         self.disp_plus = (big + vac) / np.linalg.norm(big + vac)
         self.disp_minus = (big - vac) / np.linalg.norm(big - vac)
         # exact probe branches after the resonant pass over |2a>
-        levels = np.arange(truncation)
-        self.chi_f = big * np.cos(gt * np.sqrt(levels))
+        angles = rabi_angles(gt, truncation)
+        self.chi_f = big * np.cos(angles)
         chi_e = np.zeros(truncation, dtype=complex)
-        chi_e[:-1] = -1j * big[1:] * np.sin(gt * np.sqrt(levels[1:]))
+        chi_e[:-1] = -1j * big[1:] * np.sin(angles[1:])
         self.chi_e = chi_e
         self.vac = vac
         for value in vars(self).values():
@@ -94,16 +100,19 @@ class _Parts:
 _parts = lru_cache(maxsize=16)(_Parts)
 
 
-def _registers(names_kinds, truncation: int):
+@lru_cache(maxsize=64)
+def checkpoint_registers(checkpoint: str, truncation: int) -> tuple[Register, ...]:
+    """The registers a checkpoint's closed form covers, with their labels."""
+    if checkpoint not in CHECKPOINT_REGISTERS:
+        raise ValueError(f"unknown checkpoint {checkpoint!r}")
     labels = {"path": SLITS, "mode": tuple(map(str, range(truncation))), **ATOM_LEVELS}
-    return tuple(Register(name, kind, labels[kind]) for name, kind in names_kinds)
+    return tuple(Register(name, kind, labels[kind])
+                 for name, kind in CHECKPOINT_REGISTERS[checkpoint].items())
 
 
 def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float) -> CompositeState:
     """The reference-scenario state at one named checkpoint, normalized.
 
-    Register names and ordering match the engine's live register list at
-    that stage of the run; FINAL covers the output path register alone.
     This is the dense form of checkpoint_terms, assembled with np.kron.
     """
     return _assemble(*checkpoint_terms(
@@ -117,28 +126,24 @@ def checkpoint_terms(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: flo
     Each term is ``(coeff, {register name: label or vector})``; the state
     is the normalized sum of the terms' tensor products.
     """
-    if checkpoint not in CHECKPOINTS:
-        raise ValueError(f"unknown checkpoint {checkpoint!r}")
-    p = _parts(alpha, truncation, gt)
+    registers = checkpoint_registers(checkpoint, truncation)
+    return registers, _terms(checkpoint, cb, cc, _parts(alpha, truncation, gt))
+
+
+def _terms(checkpoint: str, cb, cc, p: _Parts) -> list:
     coh, even, odd = p.coh, p.even, p.odd
     wp, wm = p.w_plus, p.w_minus
     r = 1.0 / math.sqrt(2.0)
 
     if checkpoint == "A1_split":
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A1", "lambda3"), ("A1_path", "path")], truncation
-        )
-        return regs, [
+        return [
             (r, {"C1": coh, "C2": coh, "A1": "b", "A1_path": "sl1"}),
             (r, {"C1": coh, "C2": coh, "A1": "b", "A1_path": "sl2"}),
         ]
 
     if checkpoint == "A1_after_cavities":
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A1", "lambda3"), ("A1_path", "path")], truncation
-        )
         q = 1.0 / (2.0 * math.sqrt(2.0))
-        return regs, [
+        return [
             (q * wp, {"C1": even, "C2": coh, "A1": "b", "A1_path": "sl1"}),
             (-q * wm, {"C1": odd, "C2": coh, "A1": "c", "A1_path": "sl1"}),
             (q * wp, {"C1": coh, "C2": even, "A1": "b", "A1_path": "sl2"}),
@@ -146,10 +151,6 @@ def checkpoint_terms(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: flo
         ]
 
     if checkpoint == "A12_after_cavities":
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A1", "lambda3"), ("A1_path", "path"),
-             ("A2", "lambda3"), ("A2_path", "path")], truncation
-        )
         terms = [
             # both atoms through the first slit: second pass re-projects the cat
             (wp / 4, {"C1": even, "C2": coh, "A1": "b", "A1_path": "sl1", "A2": "b", "A2_path": "sl1"}),
@@ -170,27 +171,20 @@ def checkpoint_terms(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: flo
                         {c_a1: cat1, c_a2: cat2, "A1": a1_state, "A1_path": a1_slit,
                          "A2": a2_state, "A2_path": a2_slit},
                     ))
-        return regs, terms
+        return terms
 
     if checkpoint == "A12_post_c1b2":
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A1_path", "path"), ("A2_path", "path")], truncation
-        )
-        return regs, [
+        return [
             (r, {"C1": even, "C2": odd, "A1_path": "sl2", "A2_path": "sl1"}),
             (r, {"C1": odd, "C2": even, "A1_path": "sl1", "A2_path": "sl2"}),
         ]
 
     if checkpoint == "A123_after_cavities":
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A1_path", "path"), ("A2_path", "path"),
-             ("A3", "lambda3"), ("A3_path", "path")], truncation
-        )
         half = 0.5
         # entangled pair branch shared by A12_post_c1b2, tagged E (C1 even) / O (C1 odd)
         branch_e = {"C1": even, "C2": odd, "A1_path": "sl2", "A2_path": "sl1"}
         branch_o = {"C1": odd, "C2": even, "A1_path": "sl1", "A2_path": "sl2"}
-        return regs, [
+        return [
             (half * cb, branch_e | {"A3": "b", "A3_path": "sl1"}),
             (-half * cc, branch_e | {"A3": "c", "A3_path": "sl1"}),
             (-half * cb, branch_o | {"A3": "c", "A3_path": "sl1"}),
@@ -202,13 +196,9 @@ def checkpoint_terms(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: flo
         ]
 
     if checkpoint == "A123_post_b3":
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A1_path", "path"), ("A2_path", "path"),
-             ("A3_path", "path")], truncation
-        )
         branch_e = {"C1": even, "C2": odd, "A1_path": "sl2", "A2_path": "sl1"}
         branch_o = {"C1": odd, "C2": even, "A1_path": "sl1", "A2_path": "sl2"}
-        return regs, [
+        return [
             (r * cb, branch_e | {"A3_path": "sl1"}),
             (r * cc, branch_o | {"A3_path": "sl1"}),
             (r * cc, branch_e | {"A3_path": "sl2"}),
@@ -216,27 +206,19 @@ def checkpoint_terms(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: flo
         ]
 
     if checkpoint in ("A123_post_zeta31", "A12_pre_SC3"):
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A1_path", "path"), ("A2_path", "path")], truncation
-        )
-        return regs, [
+        return [
             (cb, {"C1": even, "C2": odd, "A1_path": "sl2", "A2_path": "sl1"}),
             (cc, {"C1": odd, "C2": even, "A1_path": "sl1", "A2_path": "sl2"}),
         ]
 
     if checkpoint in ("A2_post_gamma1", "TELEPST1"):
-        regs = _registers([("C1", "mode"), ("C2", "mode"), ("A2_path", "path")], truncation)
-        return regs, [
+        return [
             (cb, {"C1": even, "C2": odd, "A2_path": "sl1"}),
             (cc, {"C1": odd, "C2": even, "A2_path": "sl2"}),
         ]
 
     if checkpoint == "A24_after_cavities":
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A2_path", "path"), ("A4", "lambda3"),
-             ("A4_path", "path")], truncation
-        )
-        return regs, [
+        return [
             (r * cb, {"C1": even, "C2": odd, "A2_path": "sl1", "A4": "b", "A4_path": "sl1"}),
             (-r * cc, {"C1": odd, "C2": even, "A2_path": "sl2", "A4": "c", "A4_path": "sl1"}),
             (-r * cb, {"C1": even, "C2": odd, "A2_path": "sl1", "A4": "c", "A4_path": "sl2"}),
@@ -244,10 +226,7 @@ def checkpoint_terms(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: flo
         ]
 
     if checkpoint == "A24_post_rho1":
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A4", "lambda3"), ("A4_path", "path")], truncation
-        )
-        return regs, [
+        return [
             (r * cb, {"C1": even, "C2": odd, "A4": "b", "A4_path": "sl1"}),
             (-r * cc, {"C1": odd, "C2": even, "A4": "c", "A4_path": "sl1"}),
             (-r * cb, {"C1": even, "C2": odd, "A4": "c", "A4_path": "sl2"}),
@@ -255,45 +234,37 @@ def checkpoint_terms(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: flo
         ]
 
     if checkpoint in ("A24_post_b4", "TELEPST2"):
-        regs = _registers([("C1", "mode"), ("C2", "mode"), ("A4_path", "path")], truncation)
-        return regs, [
+        return [
             (cb, {"C1": even, "C2": odd, "A4_path": "sl1"}),
             (cc, {"C1": odd, "C2": even, "A4_path": "sl2"}),
         ]
 
     if checkpoint == "POST_INJECTION":
-        regs = _registers([("C1", "mode"), ("C2", "mode"), ("A4_path", "path")], truncation)
-        return regs, [
+        return [
             (cb, {"C1": p.disp_plus, "C2": p.disp_minus, "A4_path": "sl1"}),
             (cc, {"C1": p.disp_minus, "C2": p.disp_plus, "A4_path": "sl2"}),
         ]
 
     if checkpoint == "POST_JC":
-        regs = _registers(
-            [("C1", "mode"), ("C2", "mode"), ("A4_path", "path"), ("A51", "qubit2"),
-             ("A52", "qubit2")], truncation
-        )
         overlap = float(np.real(p.big[0]))
-        m_plus = math.sqrt(2.0 * (1.0 + overlap))
-        m_minus = math.sqrt(2.0 * (1.0 - overlap))
+        # each slit branch holds |2a> + |0> in one cavity and |2a> - |0> in the
+        # other, so the product of their norms scales every term alike; it is 0
+        # once |2a|^2 is below rounding, and then any common scale will do
+        norms = math.sqrt(2.0 * (1.0 + overlap)) * math.sqrt(2.0 * (1.0 - overlap)) or 1.0
         f_plus = p.chi_f + p.vac
         f_minus = p.chi_f - p.vac
         terms = []
-        for coeff, slit, c1_sign, c2_sign in ((cb, "sl1", +1, -1), (cc, "sl2", -1, +1)):
-            scale = coeff / ((m_plus if c1_sign > 0 else m_minus) * (m_plus if c2_sign > 0 else m_minus))
-            c1_f = f_plus if c1_sign > 0 else f_minus
-            c2_f = f_plus if c2_sign > 0 else f_minus
+        for coeff, slit, c1_f, c2_f in ((cb, "sl1", f_plus, f_minus), (cc, "sl2", f_minus, f_plus)):
             for s1, vec1 in (("e", p.chi_e), ("f", c1_f)):
                 for s2, vec2 in (("e", p.chi_e), ("f", c2_f)):
                     terms.append((
-                        scale,
+                        coeff / norms,
                         {"C1": vec1, "C2": vec2, "A4_path": slit, "A51": s1, "A52": s2},
                     ))
-        return regs, terms
+        return terms
 
     # FINAL: the teleported path state alone
-    regs = _registers([("A4_path", "path")], truncation)
-    return regs, [(cb, {"A4_path": "sl1"}), (cc, {"A4_path": "sl2"})]
+    return [(cb, {"A4_path": "sl1"}), (cc, {"A4_path": "sl2"})]
 
 
 def jc_excited_probability(mean_n: float, gt: float, truncation: int) -> float:

@@ -84,9 +84,10 @@ class Kernel:
         if m.ndim != 2 or m.shape[0] != len(self.target_labels):
             raise RegisterError(f"kernel matrix shape {m.shape} does not match "
                                 f"{len(self.target_labels)} target labels")
-        norms = np.linalg.norm(m, axis=0)
+        with np.errstate(over="ignore"):  # hypot squares no entry; a norm past float range is inf
+            norms = np.hypot.reduce(np.abs(m), axis=0)
         if np.any(norms > 1.0 + 1e-12):
-            raise RegisterError(f"kernel column exceeds unit norm (max {norms.max():.12f})")
+            raise RegisterError(f"kernel column exceeds unit norm (max {norms.max():.12g})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

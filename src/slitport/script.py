@@ -27,10 +27,10 @@ import re
 from dataclasses import dataclass, fields
 
 from . import protocol
-from .fockspace import ATOM_LEVELS
-from .gates import tail_bound_dim
+from .fockspace import ATOM_LEVELS, Register
+from .gates import dispersive_blocks, jc_blocks, tail_bound_dim
 from .numformat import fmt_complex, fmt_real, parse_complex
-from .oracle import CHECKPOINTS
+from .oracle import checkpoint_registers, checkpoint_terms
 
 # Each keyword's usage line.  A lower-case word is a literal, (a|b) a choice
 # and a [...] tail optional.  NUM, INT, ANGLE and MATRIX are value slots; a
@@ -315,7 +315,7 @@ def resolve_inputs(script: ProtocolScript, overrides: dict | None = None) -> pro
 
 
 class _Validator:
-    """Checks each command against the declarations before it."""
+    """Checks each command against the declarations and live registers before it."""
 
     def __init__(self, script: ProtocolScript, inputs: protocol.RunInputs):
         self.script = script
@@ -326,8 +326,8 @@ class _Validator:
         self.bindings: dict[str, str] = {}  # slit -> cavity
         self.kernels: dict[str, protocol.Kernel] = {}
         self.atom_kind: dict[str, str] = {}
-        self.internal_live: dict[str, bool] = {}
-        self.path_basis: dict[str, tuple[str, ...] | None] = {}
+        # the runner's register list at this point of the script, by name
+        self.live: dict[str, Register] = {}
         self.slit_owner: dict[str, str] = {}
         self.injections: dict[str, float] = {}
         self.seen_config: set[str] = set()
@@ -355,7 +355,7 @@ class _Validator:
 
     def _fresh(self, name: str) -> None:
         for table, kind in ((self.cavities, "a cavity"), (self.screens, "a screen"),
-                            (self.atom_kind, "an atom")):
+                            (self.atom_kind, "an atom"), (self.live, "a live register")):
             if name in table:
                 raise ValueError(f"{name!r} is already declared as {kind}")
 
@@ -376,7 +376,7 @@ class _Validator:
         return self.atom_kind[name]
 
     def _live(self, atom: str) -> None:
-        if not self.internal_live[atom]:
+        if atom not in self.live:
             raise ValueError(f"atom {atom}: internal state was already detected")
 
     def _cmd_config(self, cmd: Command) -> None:
@@ -395,6 +395,7 @@ class _Validator:
             raise ValueError(f"cavity {name}: truncation must be at least 2")
         spec = protocol.DeclareCavity(name, alpha, trunc, text=serialize_command(cmd))
         self.cavities[name] = spec
+        self.live[name] = Register.mode(name, trunc)
         self.cavity_line[name] = cmd.line
         self.injections[name] = 0.0
         self.instructions.append(spec)
@@ -406,8 +407,7 @@ class _Validator:
         if state not in valid:
             raise ValueError(f"atom {name}: unknown label {state!r} (valid: {', '.join(valid)})")
         self.atom_kind[name] = kind
-        self.internal_live[name] = True
-        self.path_basis[name] = None
+        self.live[name] = Register(name, kind, ATOM_LEVELS[kind])
         self.instructions.append(protocol.DeclareAtom(name, kind, state,
                                                       text=serialize_command(cmd)))
 
@@ -447,9 +447,10 @@ class _Validator:
         atom, screen = cmd.args
         self._atom(atom)
         slits = self._screen(screen)
-        if self.path_basis[atom] is not None:
+        path = protocol.path_name(atom)
+        if path in self.live:
             raise ValueError(f"atom {atom} is already split")
-        self.path_basis[atom] = slits
+        self.live[path] = Register.path(path, slits)
         self.instructions.append(protocol.Split(atom, slits, text=serialize_command(cmd)))
 
     def _cmd_pass(self, cmd: Command) -> None:
@@ -458,7 +459,8 @@ class _Validator:
             raise ValueError(f"atom {atom} must be lambda3 to pass through cavities")
         self._live(atom)
         slits = self._screen(screen)
-        if self.path_basis[atom] != slits:
+        path = self.live.get(protocol.path_name(atom))
+        if path is None or path.labels != slits:
             raise ValueError(f"atom {atom} is not at screen {screen}'s slits")
         for slit in slits:
             if slit not in self.bindings:
@@ -467,6 +469,8 @@ class _Validator:
         if bindings[0][1] == bindings[1][1]:
             raise ValueError(f"screen {screen}: both slits bind the same cavity")
         phi = _resolve(phi, self.inputs, f"pass {atom}", "ANGLE")
+        for _, cavity in bindings:
+            dispersive_blocks(phi, self.cavities[cavity].truncation)  # cached for the run
         self.instructions.append(
             protocol.CavityPass(atom, bindings, phi, text=serialize_command(cmd)))
 
@@ -478,15 +482,15 @@ class _Validator:
             valid = ATOM_LEVELS[kind]
             if label not in valid:
                 raise ValueError(f"unknown label {label!r} (valid: {', '.join(valid)})")
-            self.internal_live[atom] = False
+            del self.live[atom]
         else:
-            basis = self.path_basis[atom]
-            if basis is None:
+            path = self.live.get(protocol.path_name(atom))
+            if path is None:
                 raise ValueError(f"atom {atom} has no path register to detect")
-            if label not in basis:
+            if label not in path.labels:
                 raise ValueError(f"label {label!r} is not in {atom}'s current basis "
-                                 f"({', '.join(basis)})")
-            self.path_basis[atom] = None
+                                 f"({', '.join(path.labels)})")
+            del self.live[path.name]
         self.instructions.append(protocol.Detect(atom, which, label, text=serialize_command(cmd)))
 
     def _cmd_propagate(self, cmd: Command) -> None:
@@ -494,14 +498,14 @@ class _Validator:
         self._atom(atom)
         if kernel not in self.kernels:
             raise ValueError(f"kernel {kernel!r} is not declared")
-        basis = self.path_basis[atom]
-        if basis is None:
+        path = self.live.get(protocol.path_name(atom))
+        if path is None:
             raise ValueError(f"atom {atom} has no path register to propagate")
         spec = self.kernels[kernel]
-        if spec.matrix.shape[1] != len(basis):
+        if spec.matrix.shape[1] != path.dim:
             raise ValueError(f"kernel {kernel} has {spec.matrix.shape[1]} columns but "
-                             f"{atom}'s basis has {len(basis)} labels")
-        self.path_basis[atom] = spec.target_labels
+                             f"{atom}'s basis has {path.dim} labels")
+        self.live[path.name] = Register.path(path.name, spec.target_labels)
         self.instructions.append(protocol.Propagate(atom, spec, text=serialize_command(cmd)))
 
     def _cmd_inject(self, cmd: Command) -> None:
@@ -516,20 +520,29 @@ class _Validator:
         if self._atom(atom) != "qubit2":
             raise ValueError(f"atom {atom} must be qubit2 for a resonant pass")
         self._live(atom)
-        self._cavity(cavity)
+        truncation = self._cavity(cavity).truncation
         gt = _resolve(gt, self.inputs, f"jcpass {atom}", "ANGLE")
+        jc_blocks(gt, truncation)  # cached for the run
         self.instructions.append(protocol.JcPass(atom, cavity, gt, text=serialize_command(cmd)))
 
     def _cmd_checkpoint(self, cmd: Command) -> None:
+        """Check a checkpoint by building it, as the run will."""
         name = cmd.args[0]
-        if name not in CHECKPOINTS:
-            raise ValueError(f"unknown checkpoint {name!r}")
+        registers = checkpoint_registers(name, self.inputs.truncation)
+        missing = [r.name for r in registers if r.name not in self.live]
+        if missing:
+            raise ValueError(f"checkpoint {name}: registers {', '.join(missing)} are not live")
+        changed = [f"{r.name} is {_describe(self.live[r.name])}, not {_describe(r)}"
+                   for r in registers if self.live[r.name] != r]
+        if changed:
+            raise ValueError(f"checkpoint {name}: register {'; '.join(changed)}")
         first = not any(isinstance(i, protocol.Checkpoint) for i in self.instructions)
         self.instructions.append(protocol.Checkpoint(name, text=serialize_command(cmd)))
-        if self.inputs.alpha == 0 and first:
-            raise ValueError(f"checkpoint {name}: alpha is 0, so the odd cat "
-                             "|alpha> - |-alpha> vanishes and the cavities cannot record a "
-                             "slit; checkpoints need a nonzero alpha")
+        if first:  # every later checkpoint shares the cached parts this one builds
+            try:
+                checkpoint_terms(name, **self.inputs.to_dict())
+            except ValueError as exc:
+                raise ValueError(f"checkpoint {name}: {exc}") from None
 
     def _tail_bound(self, name: str) -> None:
         spec = self.cavities[name]
@@ -538,6 +551,11 @@ class _Validator:
         if spec.truncation < needed:
             raise ValueError(f"cavity {name}: truncation {spec.truncation} is below the tail "
                              f"bound {fmt_real(needed)} for amplitude reach {fmt_real(reach)}")
+
+
+def _describe(register: Register) -> str:
+    labels = f"{register.dim} levels" if register.kind == "mode" else ", ".join(register.labels)
+    return f"{register.kind} ({labels})"
 
 
 def resolve(script: ProtocolScript, overrides: dict | None = None) -> ResolvedRun:

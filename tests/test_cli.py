@@ -337,12 +337,15 @@ def test_overflowing_amplitude_exits_2_at_the_cavity_line(capsys, tmp_path):
         assert main([command, str(script)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"line 1: amplitude 1.000e+200 {_OVERFLOW}\n")
-    # the reference script injects alpha into each cavity: the reach is 2 alpha
+    # the reference script injects alpha into each cavity: the reach is 2 alpha;
+    # the first checkpoint's closed form holds |alpha> itself
     assert main(["paper", "--alpha", "1e200"]) == 2
     lines = [n for n, text in enumerate(REFERENCE_SCRIPT.splitlines(), 1)
              if text.startswith("cavity")]
+    first = REFERENCE_SCRIPT.splitlines().index("checkpoint A1_split") + 1
     assert capsys.readouterr().err == "".join(
-        f"line {n}: amplitude 2.000e+200 {_OVERFLOW}\n" for n in lines)
+        f"line {n}: amplitude 2.000e+200 {_OVERFLOW}\n" for n in lines) + (
+        f"line {first}: checkpoint A1_split: amplitude 1.000e+200 {_OVERFLOW}\n")
 
 
 def test_sweep_records_an_overflowing_alpha(capsys):

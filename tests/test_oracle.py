@@ -177,3 +177,9 @@ def test_contracted_checkpoint_fidelity_matches_dense(z, alpha, seed):
             contracted = product_fidelity(candidate, registers, terms)
             assert contracted == pytest.approx(_dense_fidelity(candidate, expected), abs=1e-12)
     assert seen == list(CHECKPOINTS)
+
+
+def test_post_jc_closed_form_at_a_tiny_alpha():
+    # 1 - <0|2 alpha> rounds to 0 here, while |2 alpha> - |0> keeps a norm near 2 alpha
+    state = expected_state("POST_JC", **DEFAULTS | {"alpha": 1e-10})
+    assert abs(state.norm() - 1) < 1e-12

@@ -605,12 +605,17 @@ def test_cavity_complex_alpha():
 
 # every validator message, pinned exactly: a short script and its errors
 _LAYOUT = "cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v C2\n"
+# the registers of checkpoint A1_split, live
+_AT_A1_SPLIT = ("cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S sl1 sl2\natom A1 lambda3 state b\n"
+                "split A1 S\n")
 
 
 @pytest.mark.parametrize("text, errors", [
     ("cavity C1 alpha 1\ncavity C1 alpha 2", [(2, "'C1' is already declared as a cavity")]),
     ("screen S u v\natom S lambda3 state b", [(2, "'S' is already declared as a screen")]),
     ("atom A lambda3 state b\nscreen A u v", [(2, "'A' is already declared as an atom")]),
+    ("screen S u v\natom A lambda3 state b\nsplit A S\natom A_path qubit2 state f",
+     [(4, "'A_path' is already declared as a live register")]),
     ("config alpha 2\nconfig alpha 3", [(2, "config alpha given twice")]),
     ("cavity C1 alpha 1 truncation 1", [(1, "cavity C1: truncation must be at least 2")]),
     ("config gt 70.5\ncavity C1 alpha 1 truncation $gt",
@@ -625,7 +630,8 @@ _LAYOUT = "cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v
      [(2, "kernel S: screen S has 2 slits but the matrix has 1 rows")]),
     ("kernel K [1 0; 0 1]",
      [(1, "kernel K: no screen named K, so the matrix must have a single detector row")]),
-    ("kernel K [1.2]", [(1, "kernel column exceeds unit norm (max 1.200000000000)")]),
+    ("kernel K [1.2]", [(1, "kernel column exceeds unit norm (max 1.2)")]),
+    ("kernel K [1e200]", [(1, "kernel column exceeds unit norm (max 1e+200)")]),
     ("split A S", [(1, "atom 'A' is not declared")]),
     ("atom A lambda3 state b\nsplit A S", [(2, "screen 'S' is not declared")]),
     (_LAYOUT + "atom A lambda3 state b\nsplit A S\nsplit A S", [(8, "atom A is already split")]),
@@ -662,10 +668,26 @@ _LAYOUT = "cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v
     ("cavity C1 alpha 1\natom P qubit2 state f\ndetect P internal f\njcpass P C1 gt pi/8",
      [(4, "atom P: internal state was already detected")]),
     ("atom P qubit2 state f\njcpass P C1 gt pi/8", [(2, "cavity 'C1' is not declared")]),
+    ("cavity C1 alpha 1\natom P qubit2 state f\njcpass P C1 gt 1e308",
+     [(3, "the Rabi angle gt·√n overflows a float for gt = 1e+308 at n = 63")]),
     ("checkpoint NOPE", [(1, "unknown checkpoint 'NOPE'")]),
-    ("config alpha 0\ncheckpoint A1_split\ncheckpoint A1_after_cavities",
-     [(2, "checkpoint A1_split: alpha is 0, so the odd cat |alpha> - |-alpha> vanishes and "
-          "the cavities cannot record a slit; checkpoints need a nonzero alpha")]),
+    # a checkpoint needs the registers its closed form covers, live and unchanged
+    ("cavity C1 alpha 2 truncation 64\ncheckpoint A1_split",
+     [(2, "checkpoint A1_split: registers C2, A1, A1_path are not live")]),
+    (_AT_A1_SPLIT + "screen T g1 g2\nkernel T [1 0; 0 1]\npropagate A1 T\ncheckpoint A1_split",
+     [(9, "checkpoint A1_split: register A1_path is path (g1, g2), not path (sl1, sl2)")]),
+    (_AT_A1_SPLIT.replace("C2 alpha 1", "C2 alpha 1 truncation 32") + "checkpoint A1_split",
+     [(6, "checkpoint A1_split: register C2 is mode (32 levels), not mode (64 levels)")]),
+    # the first checkpoint builds the closed forms' shared parts
+    ("config alpha 0\n" + _AT_A1_SPLIT + "checkpoint A1_split\ncheckpoint A1_split",
+     [(7, "checkpoint A1_split: the odd cat |alpha> - |-alpha> vanishes at |alpha| = 0, so "
+          "the cavities cannot record a slit")]),
+    ("config alpha 1e-300\n" + _AT_A1_SPLIT + "checkpoint A1_split",
+     [(7, "checkpoint A1_split: the odd cat |alpha> - |-alpha> vanishes at |alpha| = 1e-300, "
+          "so the cavities cannot record a slit")]),
+    ("config gt 1e308\n" + _AT_A1_SPLIT + "checkpoint A1_split",
+     [(7, "checkpoint A1_split: the Rabi angle gt·√n overflows a float for gt = 1e+308 at "
+          "n = 63")]),
     ("cavity C1 alpha 2 truncation 16\ninject C1 2",
      [(1, "cavity C1: truncation 16 is below the tail bound 58 for amplitude reach 4")]),
     # one error per command, however many checks it fails, and every error in
