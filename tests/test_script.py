@@ -645,6 +645,8 @@ _AT_A1_SPLIT = ("cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S sl1 sl2\natom A1
      [(7, "atom A is not at screen S's slits")]),
     ("cavity C1 alpha 1\nscreen S u v\nbind u C1\natom A lambda3 state b\nsplit A S\n"
      "pass A S phi pi", [(6, "slit v has no cavity")]),
+    (_LAYOUT + "atom A lambda3 state b\nsplit A S\npass A S phi 1e308",
+     [(8, "the dispersive phase phi·n overflows a float for phi = 1e+308 at n = 63")]),
     ("cavity C1 alpha 1\nscreen S u v\nbind u C1\nbind v C1\natom A lambda3 state b\n"
      "split A S\npass A S phi pi", [(7, "screen S: both slits bind the same cavity")]),
     ("detect A internal b", [(1, "atom 'A' is not declared")]),
