@@ -218,21 +218,26 @@ def _sweep(values: list[float], args: argparse.Namespace) -> list[dict]:
     entries = [{"value": v, "final_fidelity": None, "cumulative_probability": None,
                 "error": None} for v in values]
     parsed = script.parse(REFERENCE_SCRIPT)
-    runs = {}
+    runs = {}  # entry index -> (its instructions without checkpoints, its inputs)
     for index, value in enumerate(values):
         try:
-            runs[index] = script.resolve(parsed, _sweep_overrides(args.param, value, args))
+            run = script.resolve(parsed, _sweep_overrides(args.param, value, args))
         except ValueError as exc:
             _settle(entries[index], exc)
+            continue
+        # an entry prints no checkpoint score, and a checkpoint changes no
+        # state and draws no random number: the runs skip them
+        runs[index] = ([ins for ins in run.instructions
+                        if not isinstance(ins, protocol.Checkpoint)], run.inputs)
     if args.param == "cb" and not args.sample and runs:
         # the reference script reads cb and cc only as the input amplitudes,
         # so every value shares the first one's instructions
-        first = next(iter(runs.values()))
-        outcomes = run_batch(first.instructions, [run.inputs for run in runs.values()])
+        first, _ = next(iter(runs.values()))
+        outcomes = run_batch(first, [inputs for _, inputs in runs.values()])
     else:
         # gates depend on alpha and gt, and a sampled outcome on the input
-        outcomes = [_run_alone(run.instructions, run.inputs, sample=args.sample,
-                               seed=args.seed) for run in runs.values()]
+        outcomes = [_run_alone(steps, inputs, sample=args.sample, seed=args.seed)
+                    for steps, inputs in runs.values()]
     for index, outcome in zip(runs, outcomes):
         _settle(entries[index], outcome)
     return entries

@@ -80,6 +80,9 @@ def cat_state(alpha: complex, sign: int, truncation: int) -> np.ndarray:
     if norm == 0:
         raise ValueError(f"the odd cat |alpha> - |-alpha> vanishes at |alpha| = {abs(alpha):.3g}, "
                          "so the cavities cannot record a slit")
+    if norm < 1e-150:  # its squares are subnormal, so the norm is inexact: rescale first
+        vec = vec / np.abs(vec).max()
+        norm = np.linalg.norm(vec)
     return vec / norm
 
 

@@ -198,9 +198,6 @@ class RunInputs:
         if self.truncation < 2:
             raise ValueError("truncation must be at least 2")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -209,9 +206,6 @@ class StepRecord:
     outcome: str | None = None
     probability: float | None = None
     checkpoint_fidelity: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -222,17 +216,8 @@ class RunReport:
     truncation_tail_mass: float
     inputs: RunInputs
 
-    def to_dict(self) -> dict:
-        return {
-            "steps": [s.to_dict() for s in self.steps],
-            "cumulative_probability": self.cumulative_probability,
-            "final_fidelity": self.final_fidelity,
-            "truncation_tail_mass": self.truncation_tail_mass,
-            "inputs": self.inputs.to_dict(),
-        }
-
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        return canonical_json(asdict(self))
 
 
 def canonical_json(value, indent: int = 0) -> str:
@@ -273,6 +258,14 @@ def path_name(atom: str) -> str:
     return f"{atom}_path"
 
 
+def split_conflict(atom: str, holder: Register) -> str:
+    """Why an atom cannot split while ``holder`` has its path register's name."""
+    if holder.kind == "path":
+        return f"atom {atom} is already split"
+    return (f"atom {atom} cannot split: its path register name {holder.name!r} is taken "
+            f"by a {holder.kind} register")
+
+
 def split_at_screen(state: CompositeState, atom: str,
                     slits: tuple[str, str]) -> CompositeState:
     """Send an atom through a two-slit screen: equal superposition of slits."""
@@ -280,7 +273,7 @@ def split_at_screen(state: CompositeState, atom: str,
         raise RegisterError(f"a screen must have exactly 2 slits, got {slits}")
     name = path_name(atom)
     if name in state.names:
-        raise RegisterError(f"atom {atom} is already split")
+        raise RegisterError(split_conflict(atom, state.register(name)))
     amp = np.full(2, 1.0 / math.sqrt(2.0), dtype=complex)
     return extend(state, Register.path(name, slits), amp)
 
@@ -540,15 +533,7 @@ class _Runner:
 
     def _checkpoint(self, ins: Checkpoint) -> None:
         for lane in self.lanes:
-            inputs = lane.inputs
-            registers, terms = oracle.checkpoint_terms(
-                ins.name,
-                cb=inputs.cb,
-                cc=inputs.cc,
-                alpha=inputs.alpha,
-                truncation=inputs.truncation,
-                gt=inputs.gt,
-            )
+            registers, terms = oracle.checkpoint_terms(ins.name, **asdict(lane.inputs))
             value = product_fidelity(self._view(lane), registers, terms)
             lane.records.append(StepRecord(ins.text or f"checkpoint {ins.name}", "checkpoint",
                                            outcome=ins.name, checkpoint_fidelity=value))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import protocol
 from .fockspace import ATOM_LEVELS, Register
@@ -449,7 +449,7 @@ class _Validator:
         slits = self._screen(screen)
         path = protocol.path_name(atom)
         if path in self.live:
-            raise ValueError(f"atom {atom} is already split")
+            raise ValueError(protocol.split_conflict(atom, self.live[path]))
         self.live[path] = Register.path(path, slits)
         self.instructions.append(protocol.Split(atom, slits, text=serialize_command(cmd)))
 
@@ -540,7 +540,7 @@ class _Validator:
         self.instructions.append(protocol.Checkpoint(name, text=serialize_command(cmd)))
         if first:  # every later checkpoint shares the cached parts this one builds
             try:
-                checkpoint_terms(name, **self.inputs.to_dict())
+                checkpoint_terms(name, **asdict(self.inputs))
             except ValueError as exc:
                 raise ValueError(f"checkpoint {name}: {exc}") from None
 

@@ -1,19 +1,36 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import slitport
 from slitport.cli import main
 from slitport.scenario import REFERENCE_SCRIPT
 
-SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "paper.qprot"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO = ROOT / "scenarios" / "paper.qprot"
 
 
 def test_shipped_scenario_matches_embedded():
     assert SCENARIO.read_text(encoding="utf-8") == REFERENCE_SCRIPT
+
+
+def test_top_level_exports_the_run_contract():
+    # the README's "Library use" calls, and the types they return or raise
+    assert sorted(slitport.__all__) == [
+        "CHECKPOINTS", "ImpossibleOutcomeError", "ProtocolError", "REFERENCE_SCRIPT", "RunInputs",
+        "RunReport", "ScriptError", "StepRecord", "parse", "resolve", "run_batch", "run_protocol",
+        "serialize",
+    ]
+    assert all(hasattr(slitport, name) for name in slitport.__all__)
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imported = re.search(r"^from slitport import (.*)$", example, re.M).group(1)
+    assert {name.strip() for name in imported.split(",")} <= set(slitport.__all__)
 
 
 def test_run_reference(capsys, tmp_path):
@@ -195,6 +212,23 @@ def test_sweep_alpha(capsys):
     for entry in doc["runs"]:
         assert entry["error"] is None
         assert entry["final_fidelity"] >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("param, value, flags", [
+    ("alpha", "1.5", []), ("cb", "0.6", []), ("gt", "0.3", ["--sample", "--seed", "3"]),
+])
+def test_a_sweep_entry_equals_the_full_run(capsys, tmp_path, param, value, flags):
+    # a sweep skips the checkpoint steps, which change no state and draw no
+    # random number; cb values run batched, the others alone
+    assert main(["sweep", "--param", param, "--values", value, *flags]) == 0
+    entry = json.loads(capsys.readouterr().out)["runs"][0]
+    out = tmp_path / "report.json"
+    cc = ["--cc", "0.8"] if param == "cb" else []
+    assert main(["paper", f"--{param}", value, *cc, *flags, "--json", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    for key in ("final_fidelity", "cumulative_probability"):
+        assert entry[key] == report[key]
 
 
 def test_sweep_empty_values(capsys):

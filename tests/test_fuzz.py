@@ -6,14 +6,19 @@ references, the angle forms and extreme numbers), or inserts a whole
 line from a pool of extreme commands.  Under warnings as errors, every
 mutant either fails ``resolve`` with a ``ScriptError`` or runs
 post-selected to a report, where the only failure left is an impossible
-outcome: ``check`` passing means ``run`` cannot exit 2.
+outcome: ``check`` passing means ``run`` cannot exit 2.  The same
+mutants, written to a file and given to the CLI, exit only with the
+documented codes.
 """
 
+import contextlib
+import io
 import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from slitport.cli import main
 from slitport.fockspace import ImpossibleOutcomeError
 from slitport.protocol import ProtocolError, run_protocol
 from slitport.scenario import REFERENCE_SCRIPT
@@ -103,3 +108,21 @@ def test_a_validated_mutant_runs_or_meets_an_impossible_outcome(mutations):
             run_protocol(run.instructions, run.inputs)
         except ProtocolError as exc:
             assert isinstance(exc.cause, ImpossibleOutcomeError), (text, exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(MUTATIONS)
+def test_the_cli_exits_with_a_documented_code(tmp_path_factory, mutations):
+    # check exits 0 or 2; a post-selected run exits 0, 2 or 3 and raises
+    # nothing; a run that exits 2 has a check that exits 2
+    path = tmp_path_factory.getbasetemp() / "mutant.qprot"
+    path.write_text(mutant(mutations), encoding="utf-8")
+    codes = {}
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        for command in ("check", "run"):
+            codes[command] = main([command, str(path)])
+    assert codes["check"] in (0, 2), codes
+    assert codes["run"] in (0, 2, 3), codes
+    assert codes["run"] != 2 or codes["check"] == 2, codes

@@ -101,6 +101,25 @@ def test_cat_zero_state_error():
         cat_state(0, -1, 16)
     with pytest.raises(ValueError):
         cat_state(1, 2, 16)
+    # where the odd cat's norm underflows to zero
+    with pytest.raises(ValueError, match="the odd cat .* vanishes at .* = 1e-163"):
+        cat_state(1e-163, -1, 16)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(-162, -150), st.sampled_from((1, -1, 1j, -1j)), st.sampled_from((+1, -1)))
+def test_cat_has_unit_norm_down_to_where_the_odd_cat_vanishes(exponent, phase, sign):
+    # below |alpha| ~ 1e-154 the odd cat's squares are subnormal; off the
+    # axes, the real and imaginary squares can underflow at 1e-162 already
+    vec = cat_state(10.0 ** exponent * phase, sign, 16)
+    assert abs(np.linalg.norm(vec) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1e-150, 1e-3j, 2.0])
+def test_cat_is_its_normalized_sum_above_the_subnormal_range(alpha):
+    c = coherent_amplitudes(alpha, 32)
+    vec = c - (-1.0) ** np.arange(32) * c
+    assert np.array_equal(cat_state(alpha, -1, 32), vec / np.linalg.norm(vec))
 
 
 # --- parity ---

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from slitport.fockspace import (
     RegisterError,
     TruncationError,
     collapse,
+    extend,
     fidelity,
     make_state,
     rebase_register,
@@ -84,8 +86,16 @@ def test_split_equal_superposition():
 
 def test_split_twice_rejected():
     state = split_at_screen(fresh_atom_state(), "A1", SLITS)
-    with pytest.raises(RegisterError):
+    with pytest.raises(RegisterError, match="atom A1 is already split"):
         split_at_screen(state, "A1", SLITS)
+
+
+def test_split_names_the_register_that_holds_the_path_name():
+    state = extend(fresh_atom_state(), Register("A1_path", "qubit2", ("f", "e")), "f")
+    with pytest.raises(RegisterError) as err:
+        split_at_screen(state, "A1", SLITS)
+    assert str(err.value) == ("atom A1 cannot split: its path register name 'A1_path' is taken "
+                              "by a qubit2 register")
 
 
 # --- conditional cavity pass ---
@@ -475,7 +485,7 @@ def test_inputs_must_be_finite(field, value):
 
 def test_inputs_are_normalized_to_their_types():
     inputs = RunInputs(cb=1, cc=0, alpha=2, truncation=64.0, gt=1)
-    assert [type(value) for value in inputs.to_dict().values()] == \
+    assert [type(value) for value in asdict(inputs).values()] == \
         [complex, complex, complex, int, float]
     with pytest.raises(ValueError, match="truncation must be an integer, got 64.5"):
         RunInputs(truncation=64.5)

@@ -635,6 +635,8 @@ _AT_A1_SPLIT = ("cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S sl1 sl2\natom A1
     ("split A S", [(1, "atom 'A' is not declared")]),
     ("atom A lambda3 state b\nsplit A S", [(2, "screen 'S' is not declared")]),
     (_LAYOUT + "atom A lambda3 state b\nsplit A S\nsplit A S", [(8, "atom A is already split")]),
+    ("screen S u v\natom A_path qubit2 state f\natom A lambda3 state b\nsplit A S",
+     [(4, "atom A cannot split: its path register name 'A_path' is taken by a qubit2 register")]),
     ("pass A S phi pi", [(1, "atom 'A' is not declared")]),
     (_LAYOUT + "atom P qubit2 state f\nsplit P S\npass P S phi pi",
      [(8, "atom P must be lambda3 to pass through cavities")]),
