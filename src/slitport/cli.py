@@ -21,7 +21,7 @@ from pathlib import Path
 from . import protocol, script
 from .fockspace import ImpossibleOutcomeError
 from .gates import tail_bound_dim
-from .numformat import fmt_real, parse_real
+from .numformat import fmt_complex, fmt_real, parse_real
 from .protocol import (ProtocolError, RunReport, _run_alone, canonical_json, run_batch,
                        run_protocol)
 from .scenario import REFERENCE_SCRIPT
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the built-in scenario over a parameter range")
     p_sweep.add_argument("--param", required=True, choices=("alpha", "gt", "cb"))
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated numeric values, e.g. 1,2,3")
+                         help="comma-separated values, each as its flag takes it, e.g. pi/8,1")
     _add_run_flags(p_sweep)
     return parser
 
@@ -184,7 +184,7 @@ def cmd_paper(args: argparse.Namespace) -> int:
     return _execute(script.parse(REFERENCE_SCRIPT), args)
 
 
-def _sweep_overrides(param: str, value: float, args: argparse.Namespace) -> dict:
+def _sweep_overrides(param: str, value: float | complex, args: argparse.Namespace) -> dict:
     overrides = _overrides(args)
     if param == "alpha":
         overrides["alpha"] = complex(value)
@@ -196,6 +196,8 @@ def _sweep_overrides(param: str, value: float, args: argparse.Namespace) -> dict
     elif param == "gt":
         overrides["gt"] = float(value)
     else:  # cb, keeping |cb|^2 + |cc|^2 = 1
+        if value.imag:
+            raise ValueError(f"cb value {fmt_complex(value)} is not real; cc needs a real cb")
         if abs(value) > 1.0:
             raise ValueError(f"cb value {value} has no matching cc with cc >= 0")
         overrides["cb"] = complex(value)
@@ -214,7 +216,7 @@ def _settle(entry: dict, outcome) -> None:
         entry["impossible"] = isinstance(outcome.cause, ImpossibleOutcomeError)
 
 
-def _sweep(values: list[float], args: argparse.Namespace) -> list[dict]:
+def _sweep(values: list[float | complex], args: argparse.Namespace) -> list[dict]:
     entries = [{"value": v, "final_fidelity": None, "cumulative_probability": None,
                 "error": None} for v in values]
     parsed = script.parse(REFERENCE_SCRIPT)
@@ -245,12 +247,13 @@ def _sweep(values: list[float], args: argparse.Namespace) -> list[dict]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        values = [parse_real(v) for v in args.values.split(",") if v.strip()]
+        values = [complex(script.parse_param(args.param, v.strip()))
+                  for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ValueError(f"could not parse --values {args.values!r}: {exc}") from None
     if not values:
         raise ValueError("--values is empty")
-    entries = _sweep(values, args)
+    entries = _sweep([v if v.imag else v.real for v in values], args)
     impossible = any(e.pop("impossible", False) for e in entries)
     document = {"param": args.param, "runs": entries}
     payload = canonical_json(document)

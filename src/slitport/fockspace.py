@@ -12,6 +12,7 @@ layout convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,10 +60,8 @@ class Register:
         if self.kind in ATOM_LEVELS and self.labels != ATOM_LEVELS[self.kind]:
             raise RegisterError(f"register {self.name}: {self.kind} labels must be "
                                 f"{ATOM_LEVELS[self.kind]}")
-        if self.kind == "mode":
-            expected = tuple(str(n) for n in range(len(self.labels)))
-            if self.labels != expected:
-                raise RegisterError(f"register {self.name}: mode labels must be 0..dim-1")
+        if self.kind == "mode" and self.labels != mode_labels(self.dim):
+            raise RegisterError(f"register {self.name}: mode labels must be 0..dim-1")
 
     @property
     def dim(self) -> int:
@@ -92,7 +91,13 @@ class Register:
     def mode(cls, name: str, dim: int) -> "Register":
         if dim < 1:
             raise RegisterError(f"register {name}: mode dim must be positive")
-        return cls(name, "mode", tuple(str(n) for n in range(dim)))
+        return cls(name, "mode", mode_labels(dim))
+
+
+@lru_cache(maxsize=16)
+def mode_labels(dim: int) -> tuple[str, ...]:
+    """A truncated mode's Fock labels "0".."dim-1", one shared tuple per dim."""
+    return tuple(map(str, range(dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +155,8 @@ class CompositeState:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix acting on an ordered subset of registers."""
+    """Dense complex matrix; ``apply_op`` names the registers it acts on."""
 
-    target_registers: tuple[str, ...]
     matrix: np.ndarray
     unitary: bool = False
 
@@ -162,7 +166,6 @@ class OperatorMatrix:
             raise RegisterError(f"operator matrix must be square, got shape {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "target_registers", tuple(self.target_registers))
         if self.unitary:
             defect = unitarity_defect(m)
             if defect >= UNITARITY_TOLERANCE:
@@ -171,29 +174,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def on(self, *names: str) -> "OperatorMatrix":
-        """Rebind the same matrix to concrete register names."""
-        if len(names) != len(self.target_registers):
-            raise RegisterError(
-                f"operator targets {len(self.target_registers)} registers, got {len(names)} names"
-            )
-        return _trusted_operator(names, self.matrix, self.unitary)
-
-
-def _trusted_operator(targets, matrix: np.ndarray, unitary: bool) -> OperatorMatrix:
-    """Build an OperatorMatrix whose unitarity is already established.
-
-    Used for rebinding and for block embeddings of verified matrices,
-    where repeating the O(n^3) construction check would dominate runtime.
-    """
-    op = OperatorMatrix.__new__(OperatorMatrix)
-    m = np.asarray(matrix, dtype=complex)
-    m.setflags(write=False)
-    object.__setattr__(op, "target_registers", tuple(targets))
-    object.__setattr__(op, "matrix", m)
-    object.__setattr__(op, "unitary", unitary)
-    return op
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +187,6 @@ class BlockOperator:
     only the block's rows and columns of the levels present act.
     """
 
-    target_registers: tuple[str, str]
     matrix: np.ndarray
     shifts: tuple[int, ...]
 
@@ -218,18 +197,11 @@ class BlockOperator:
             raise RegisterError(
                 f"block stack must be (K, d, d) with d = {len(shifts)} shifts, got shape {m.shape}"
             )
-        if len(self.target_registers) != 2:
-            raise RegisterError(f"blocks target (level, mode), got {self.target_registers}")
         if min(shifts) < 0:
             raise RegisterError(f"block shifts must be non-negative, got {shifts}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "target_registers", tuple(self.target_registers))
-
-    def on(self, level: str, mode: str) -> "BlockOperator":
-        """Rebind the same blocks to concrete register names."""
-        return BlockOperator((level, mode), self.matrix, self.shifts)
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -241,23 +213,16 @@ def make_state(registers, assignment) -> CompositeState:
     """Build a product state from per-register labels or amplitude vectors.
 
     Each register must be assigned either one of its basis labels or a
-    normalized complex vector of its dimension.
+    normalized complex vector of its dimension, tensored on by ``extend``.
     """
     registers = tuple(registers)
-    names = [r.name for r in registers]
-    if len(set(names)) != len(names):
-        raise RegisterError(f"duplicate register name in {names}")
-    unknown = set(assignment) - set(names)
-    if unknown:
-        raise RegisterError(f"assignment names unknown registers: {sorted(unknown)}")
-    missing = set(names) - set(assignment)
-    if missing:
-        raise RegisterError(f"missing assignment for registers: {sorted(missing)}")
-
-    amps = np.ones(1, dtype=complex)
+    names = {r.name for r in registers}
+    if set(assignment) != names:
+        raise RegisterError(f"assignment names {sorted(assignment)}, registers are {sorted(names)}")
+    state = CompositeState((), np.ones(1, dtype=complex))
     for reg in registers:
-        amps = np.kron(amps, _unit_column(reg, assignment[reg.name]))
-    return CompositeState(registers, amps)
+        state = extend(state, reg, assignment[reg.name])
+    return state
 
 
 def basis_column(register: Register, value) -> np.ndarray:
@@ -278,29 +243,21 @@ def basis_column(register: Register, value) -> np.ndarray:
     return column
 
 
-def _unit_column(register: Register, value) -> np.ndarray:
-    """basis_column, additionally requiring a normalized vector."""
-    column = basis_column(register, value)
-    norm = np.linalg.norm(column)
-    if abs(norm - 1.0) > VECTOR_NORM_TOLERANCE:
-        raise RegisterError(
-            f"register {register.name}: assignment vector is not normalized (norm {norm:.12f})"
-        )
-    return column
-
-
-def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator,
+def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator, targets,
              control: tuple[str, str] | None = None) -> CompositeState:
-    """Apply an operator on its target registers, identity elsewhere.
+    """Apply an operator on the named target registers, identity elsewhere.
 
-    ``op`` is a dense OperatorMatrix or a BlockOperator, which is applied
-    block by block.  With ``control=(register name, label)`` it acts only
-    on the slice where that register holds the label: the result of
-    applying ``embed_controlled`` of the operator, without building it.
+    ``op`` is an OperatorMatrix over ``targets`` in row-major order, or a
+    BlockOperator on (level, mode), applied block by block.  With
+    ``control=(register name, label)`` it acts only on the slice where
+    that register holds the label: the result of applying
+    ``embed_controlled`` of the operator, without building it.
     """
-    axes = [state.axis(name) for name in op.target_registers]
+    if isinstance(op, BlockOperator) and len(targets) != 2:
+        raise RegisterError(f"blocks target (level, mode), got {targets}")
+    axes = [state.axis(name) for name in targets]
     if len(set(axes)) != len(axes):
-        raise RegisterError(f"operator targets {op.target_registers} repeat a register")
+        raise RegisterError(f"operator targets {targets} repeat a register")
     tens = state.tensor()
     if control is None:
         out = np.empty_like(tens)
@@ -440,7 +397,12 @@ def drop_register(state: CompositeState, register: str) -> CompositeState:
 
 def extend(state: CompositeState, register: Register, value) -> CompositeState:
     """Tensor a fresh register (label or normalized vector) onto the state."""
-    vec = _unit_column(register, value)
+    vec = basis_column(register, value)
+    norm = np.linalg.norm(vec)
+    if abs(norm - 1.0) > VECTOR_NORM_TOLERANCE:
+        raise RegisterError(
+            f"register {register.name}: assignment vector is not normalized (norm {norm:.12f})"
+        )
     # the appended register varies fastest: column j of an (N, d) buffer is
     # amplitudes * vec[j], which is np.kron(amplitudes, vec) bit for bit
     out = np.empty((state.amplitudes.size, register.dim), dtype=complex)
@@ -483,9 +445,7 @@ def reorder(state: CompositeState, names) -> CompositeState:
     return CompositeState(tuple(state.registers[i] for i in perm), tens.reshape(-1))
 
 
-def embed_controlled(
-    control: Register, label: str, op: OperatorMatrix
-) -> OperatorMatrix:
+def embed_controlled(control: Register, label: str, op: OperatorMatrix) -> OperatorMatrix:
     """Lift an operator to (control ⊗ targets), active on one control label.
 
     Every other control label gets the identity, so the result is unitary
@@ -497,8 +457,7 @@ def embed_controlled(
     eye = np.eye(d, dtype=complex)
     for k in range(control.dim):
         blocks[k * d : (k + 1) * d, k * d : (k + 1) * d] = op.matrix if k == idx else eye
-    # block-diagonal of unitaries: unitarity is structural, skip the n^3 check
-    return _trusted_operator((control.name,) + op.target_registers, blocks, op.unitary)
+    return OperatorMatrix(blocks, op.unitary)
 
 
 def fidelity(a: CompositeState, b: CompositeState) -> float:

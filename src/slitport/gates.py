@@ -1,9 +1,7 @@
 """Field states and atom-field gate constructors on a truncated Fock space.
 
-Everything here is a pure function of its parameters.  Gate constructors
-return OperatorMatrix instances bound to placeholder register names; call
-``.on(...)`` to point them at concrete registers.  The dispersive and
-resonant gates also come as BlockOperator stacks, one block per
+Everything here is a pure function of its parameters.  The dispersive
+and resonant gates also come as BlockOperator stacks, one block per
 excitation number: the runner applies those, and the dense matrices are
 their reference.
 """
@@ -16,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fockspace import BlockOperator, OperatorMatrix, TruncationError
+from .numformat import fmt_complex
 
 # Raw probability mass allowed above the Fock cutoff.
 TAIL_MASS_LIMIT = 1e-8
@@ -59,8 +58,8 @@ def coherent_amplitudes(alpha: complex, truncation: int) -> np.ndarray:
     tail = 1.0 - float(np.sum(np.abs(c) ** 2))
     if tail > TAIL_MASS_LIMIT:
         raise TruncationError(
-            f"coherent amplitude {alpha}: tail mass {tail:.3e} above cutoff {truncation} "
-            f"(need dimension >= {tail_bound_dim(alpha)})"
+            f"coherent amplitude {fmt_complex(alpha)}: tail mass {tail:.3e} above cutoff "
+            f"{truncation} (need dimension >= {tail_bound_dim(alpha)})"
         )
     return c / np.linalg.norm(c)
 
@@ -106,7 +105,7 @@ def rabi_angles(gt: float, truncation: int) -> np.ndarray:
 def parity_phase(truncation: int) -> OperatorMatrix:
     """Photon-parity operator, diagonal (-1)ⁿ in the Fock basis."""
     diag = (-1.0) ** np.arange(truncation)
-    return OperatorMatrix(("mode",), np.diag(diag.astype(complex)), unitary=True)
+    return OperatorMatrix(np.diag(diag.astype(complex)), unitary=True)
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +121,7 @@ def pi_projector(sign: int, truncation: int) -> OperatorMatrix:
         raise ValueError("sign must be +1 or -1")
     p = parity_phase(truncation).matrix
     eye = np.eye(truncation, dtype=complex)
-    return OperatorMatrix(("mode",), (p + sign * eye) / 2.0, unitary=False)
+    return OperatorMatrix((p + sign * eye) / 2.0)
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +153,7 @@ def dispersive_lambda(phi: float, truncation: int) -> OperatorMatrix:
     block(1, 2, minus)            # c -> b
     block(2, 1, minus)            # b -> c
     block(2, 2, plus)             # c -> c
-    return OperatorMatrix(("atom", "mode"), m, unitary=True)
+    return OperatorMatrix(m, unitary=True)
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +164,7 @@ def dispersive_blocks(phi: float, truncation: int) -> BlockOperator:
     m[:, 0, 0] = -phase
     m[:, 1, 1] = m[:, 2, 2] = (phase + 1.0) / 2.0
     m[:, 1, 2] = m[:, 2, 1] = (phase - 1.0) / 2.0
-    return BlockOperator(("atom", "mode"), m, (0, 0, 0))
+    return BlockOperator(m, (0, 0, 0))
 
 
 def displacement(beta: complex, truncation: int) -> OperatorMatrix:
@@ -180,7 +179,7 @@ def displacement(beta: complex, truncation: int) -> OperatorMatrix:
     # generator is anti-Hermitian; diagonalize iG (Hermitian) and exponentiate
     evals, evecs = np.linalg.eigh(1j * generator)
     u = (evecs * np.exp(-1j * evals)) @ evecs.conj().T
-    return OperatorMatrix(("mode",), u, unitary=True)
+    return OperatorMatrix(u, unitary=True)
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +203,7 @@ def jc_unitary(gt: float, truncation: int) -> OperatorMatrix:
         f, e = k, n + k - 1  # |f, k> and its partner |e, k-1>
         m[f, f] = m[e, e] = math.cos(theta)
         m[e, f] = m[f, e] = -1j * math.sin(theta)
-    return OperatorMatrix(("probe", "mode"), m, unitary=True)
+    return OperatorMatrix(m, unitary=True)
 
 
 @lru_cache(maxsize=None)
@@ -221,4 +220,4 @@ def jc_blocks(gt: float, truncation: int) -> BlockOperator:
     for k, theta in enumerate(rabi_angles(gt, truncation)[1:], start=1):
         m[k] = [[math.cos(theta), -1j * math.sin(theta)],
                 [-1j * math.sin(theta), math.cos(theta)]]
-    return BlockOperator(("probe", "mode"), m, (0, 1))
+    return BlockOperator(m, (0, 1))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fockspace import ATOM_LEVELS, CompositeState, Register, basis_column
+from .fockspace import ATOM_LEVELS, CompositeState, Register, basis_column, mode_labels
 from .gates import cat_state, coherent_amplitudes, rabi_angles
 
 _CAVITIES = {"C1": "mode", "C2": "mode"}
@@ -105,7 +105,7 @@ def checkpoint_registers(checkpoint: str, truncation: int) -> tuple[Register, ..
     """The registers a checkpoint's closed form covers, with their labels."""
     if checkpoint not in CHECKPOINT_REGISTERS:
         raise ValueError(f"unknown checkpoint {checkpoint!r}")
-    labels = {"path": SLITS, "mode": tuple(map(str, range(truncation))), **ATOM_LEVELS}
+    labels = {"path": SLITS, "mode": mode_labels(truncation), **ATOM_LEVELS}
     return tuple(Register(name, kind, labels[kind])
                  for name, kind in CHECKPOINT_REGISTERS[checkpoint].items())
 

@@ -297,8 +297,8 @@ def conditional_cavity_pass(
         raise RegisterError(f"atom {atom} path basis {path.labels} is not the slits {slits}")
     for slit, cavity in bindings:
         mode = state.register(cavity)
-        gate = dispersive_blocks(phi, mode.dim).on(atom, cavity)
-        state = apply_op(state, gate, (path.name, slit))
+        gate = dispersive_blocks(phi, mode.dim)
+        state = apply_op(state, gate, (atom, cavity), (path.name, slit))
     return state
 
 
@@ -321,7 +321,7 @@ def inject_coherent(state: CompositeState, cavity: str,
     Returns the displaced state and its weight at the Fock cutoff.
     """
     mode = state.register(cavity)
-    out = apply_op(state, displacement(beta, mode.dim).on(cavity))
+    out = apply_op(state, displacement(beta, mode.dim), (cavity,))
     top = float(label_probabilities(out, cavity)[-1])
     if top > TAIL_MASS_LIMIT:
         raise TruncationError(
@@ -336,7 +336,7 @@ def jc_pass(state: CompositeState, probe: str, cavity: str, gt: float) -> Compos
     if state.register(probe).kind != "qubit2":
         raise RegisterError(f"jc pass needs a two-level probe, {probe} is not one")
     mode = state.register(cavity)
-    return apply_op(state, jc_blocks(gt, mode.dim).on(probe, cavity))
+    return apply_op(state, jc_blocks(gt, mode.dim), (probe, cavity))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ cb|b> - cc|c> carrying the amplitudes to be teleported.
 
 Validation reports every bad command at once, one error per command, in
 line order: each check raises ValueError, and the validator records the
-first one a command raises at that command's line.
+first one a command raises at that command's line.  Validation stops at a
+command that would grow the state past AMPLITUDE_BUDGET amplitudes.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ _PARAM_SLOTS = {field.name: slot for field in fields(protocol.RunInputs)
                 for slot, kind in _SLOT_TYPES.items() if field.type == kind.__name__}
 PARAM_NAMES = tuple(_PARAM_SLOTS)
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+AMPLITUDE_BUDGET = 2 ** 26  # 1 GiB per complex128 buffer; the reference script admits T <= 1365
 
 
 class ScriptError(ValueError):
@@ -68,6 +70,10 @@ class ScriptError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("\n".join(f"line {line}: {msg}" for line, msg in self.errors))
+
+
+class _OverBudget(ValueError):
+    """A command would grow the state past AMPLITUDE_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -346,12 +352,23 @@ class _Validator:
         for line, check, arg in self._checks():
             try:
                 check(arg)
+                self._budget()
             except ValueError as exc:
                 errors.append((line, str(exc)))
+                if isinstance(exc, _OverBudget):
+                    break  # later checks would build gates and references of that size
         if errors:
             # the tail bounds are checked last; report in line order
             raise ScriptError(sorted(errors, key=lambda error: error[0]))
         return ResolvedRun(tuple(self.instructions), self.inputs)
+
+    def _budget(self, factor: int = 1) -> None:
+        """Refuse a state of the live registers, times a register about to join."""
+        size = math.prod(r.dim for r in self.live.values()) * factor
+        if size > AMPLITUDE_BUDGET:
+            count = fmt_real(size) if size < 1e300 else "over 1e300"
+            raise _OverBudget(f"the state would hold {count} amplitudes, "
+                              f"above the budget of {AMPLITUDE_BUDGET}")
 
     def _fresh(self, name: str) -> None:
         for table, kind in ((self.cavities, "a cavity"), (self.screens, "a screen"),
@@ -393,6 +410,7 @@ class _Validator:
                  else _resolve(trunc_arg, self.inputs, f"cavity {name}", "INT"))
         if trunc < 2:
             raise ValueError(f"cavity {name}: truncation must be at least 2")
+        self._budget(trunc)
         spec = protocol.DeclareCavity(name, alpha, trunc, text=serialize_command(cmd))
         self.cavities[name] = spec
         self.live[name] = Register.mode(name, trunc)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -216,6 +217,8 @@ def test_sweep_alpha(capsys):
 
 @pytest.mark.parametrize("param, value, flags", [
     ("alpha", "1.5", []), ("cb", "0.6", []), ("gt", "0.3", ["--sample", "--seed", "3"]),
+    # a swept value takes the forms its flag takes
+    ("gt", "pi/4", []), ("alpha", "2+1i", ["--truncation", "66"]),
 ])
 def test_a_sweep_entry_equals_the_full_run(capsys, tmp_path, param, value, flags):
     # a sweep skips the checkpoint steps, which change no state and draw no
@@ -388,3 +391,34 @@ def test_sweep_records_an_overflowing_alpha(capsys):
     assert huge["error"] == f"amplitude 2.000e+160 {_OVERFLOW}"
     assert huge["final_fidelity"] is None
     assert two["error"] is None and two["final_fidelity"] >= 1 - 1e-8
+
+
+def test_sweep_values_parse_as_their_flags(capsys):
+    assert main(["sweep", "--param", "gt", "--values", "pi/8, 0.3"]) == 0
+    assert [e["value"] for e in json.loads(capsys.readouterr().out)["runs"]] == [math.pi / 8, 0.3]
+    # cc is derived from a swept cb, which must therefore be real
+    assert main(["sweep", "--param", "cb", "--values=0.6,0.6+0.1i"]) == 0
+    real, non_real = json.loads(capsys.readouterr().out)["runs"]
+    assert real["error"] is None
+    assert non_real == {"value": "0.59999999999999998+0.10000000000000001i",
+                        "final_fidelity": None, "cumulative_probability": None,
+                        "error": "cb value 0.59999999999999998+0.10000000000000001i is not "
+                                 "real; cc needs a real cb"}
+
+
+def test_a_state_past_the_budget_is_refused_before_a_run(capsys, tmp_path):
+    script = tmp_path / "wide.qprot"
+    script.write_text(SCENARIO.read_text().replace("config truncation 64",
+                                                   "config truncation 200000"))
+    line = REFERENCE_SCRIPT.splitlines().index("cavity C2 alpha $alpha truncation $truncation") + 1
+    refusal = f"line {line}: the state would hold 40000000000 amplitudes, above the budget of 67108864"
+    assert main(["check", str(script)]) == 2
+    assert capsys.readouterr() == ("", refusal + "\n")
+    assert main(["paper", "--truncation", "200000"]) == 2
+    assert capsys.readouterr() == ("", refusal + "\n")
+    # alpha 1e3 sizes the cutoff to its tail bound, 4020101
+    assert main(["sweep", "--param", "alpha", "--values", "1e3,2"]) == 0
+    wide, two = json.loads(capsys.readouterr().out)["runs"]
+    assert wide["error"] == (f"line {line}: the state would hold 16160408040001 amplitudes, "
+                             "above the budget of 67108864")
+    assert two["error"] is None

@@ -101,8 +101,8 @@ def test_make_state_errors():
 
 def test_apply_identity():
     state = make_state([Register.mode("C1", 5)], {"C1": "2"})
-    op = OperatorMatrix(("C1",), np.eye(5), unitary=True)
-    out = apply_op(state, op)
+    op = OperatorMatrix(np.eye(5), unitary=True)
+    out = apply_op(state, op, ("C1",))
     assert np.allclose(out.amplitudes, state.amplitudes)
 
 
@@ -110,23 +110,23 @@ def test_apply_op_register_mismatch():
     regs = [Register.path("p", ("u", "v")), Register.lambda3("A1"), Register.mode("C1", 5)]
     state = make_state(regs, {"p": "u", "A1": "b", "C1": "0"})
     with pytest.raises(RegisterError):
-        apply_op(state, OperatorMatrix(("C2",), np.eye(5)))
+        apply_op(state, OperatorMatrix(np.eye(5)), ("C2",))
     with pytest.raises(RegisterError):
-        apply_op(state, OperatorMatrix(("C1",), np.eye(4)))
+        apply_op(state, OperatorMatrix(np.eye(4)), ("C1",))
     # two-level blocks on a three-level atom
     with pytest.raises(RegisterError, match="do not fit"):
-        apply_op(state, jc_blocks(0.3, 5).on("A1", "C1"))
+        apply_op(state, jc_blocks(0.3, 5), ("A1", "C1"))
     # blocks for a 4-photon cutoff on a 5-photon mode
     with pytest.raises(RegisterError, match="do not fit"):
-        apply_op(state, dispersive_blocks(0.3, 4).on("A1", "C1"))
+        apply_op(state, dispersive_blocks(0.3, 4), ("A1", "C1"))
     with pytest.raises(RegisterError, match="unknown label"):
-        apply_op(state, dispersive_blocks(0.3, 5).on("A1", "C1"), ("p", "w"))
+        apply_op(state, dispersive_blocks(0.3, 5), ("A1", "C1"), ("p", "w"))
     with pytest.raises(RegisterError, match="also a target"):
-        apply_op(state, dispersive_blocks(0.3, 5).on("A1", "C1"), ("A1", "b"))
+        apply_op(state, dispersive_blocks(0.3, 5), ("A1", "C1"), ("A1", "b"))
     with pytest.raises(RegisterError, match="repeat a register"):
-        apply_op(state, OperatorMatrix(("C1", "C1"), np.eye(25)))
+        apply_op(state, OperatorMatrix(np.eye(25)), ("C1", "C1"))
     with pytest.raises(RegisterError, match="must be"):
-        BlockOperator(("A1", "C1"), np.zeros((5, 3, 2)), (0, 0, 0))
+        BlockOperator(np.zeros((5, 3, 2)), (0, 0, 0))
 
 
 def test_apply_op_non_adjacent_targets():
@@ -134,7 +134,7 @@ def test_apply_op_non_adjacent_targets():
     regs = [Register.mode("C1", 3), Register.lambda3("A1"), Register.mode("C2", 2)]
     state = make_state(regs, {"C1": "1", "A1": "c", "C2": "0"})
     u = random_unitary(6)
-    out = apply_op(state, OperatorMatrix(("C1", "C2"), u, unitary=True))
+    out = apply_op(state, OperatorMatrix(u, unitary=True), ("C1", "C2"))
     # independent contraction: out[i,a,l] = sum_{j,m} U[(i,l),(j,m)] T[j,a,m]
     dense = np.einsum("iljm,jam->ial", u.reshape(3, 2, 3, 2), state.tensor()).reshape(-1)
     assert np.max(np.abs(out.amplitudes - dense)) < 1e-12
@@ -150,23 +150,23 @@ def test_disjoint_ops_commute():
         "C2": vec2 / np.linalg.norm(vec2),
         "A1": "b",
     })
-    u = OperatorMatrix(("C1",), random_unitary(4), unitary=True)
-    v = OperatorMatrix(("A1",), random_unitary(3), unitary=True)
-    one = apply_op(apply_op(state, u), v)
-    two = apply_op(apply_op(state, v), u)
+    u = OperatorMatrix(random_unitary(4), unitary=True)
+    v = OperatorMatrix(random_unitary(3), unitary=True)
+    one = apply_op(apply_op(state, u, ("C1",)), v, ("A1",))
+    two = apply_op(apply_op(state, v, ("A1",)), u, ("C1",))
     assert np.max(np.abs(one.amplitudes - two.amplitudes)) < 1e-12
 
 
 def test_norm_preserved_by_random_unitaries():
     state = make_state([Register.mode("C1", 8)], {"C1": "3"})
     for _ in range(20):
-        state = apply_op(state, OperatorMatrix(("C1",), random_unitary(8), unitary=True))
+        state = apply_op(state, OperatorMatrix(random_unitary(8), unitary=True), ("C1",))
         assert abs(state.norm() - 1) < 1e-12
 
 
 def test_unitary_flag_checked():
     with pytest.raises(RegisterError):
-        OperatorMatrix(("C1",), np.diag([1.0, 0.5]), unitary=True)
+        OperatorMatrix(np.diag([1.0, 0.5]), unitary=True)
 
 
 def test_project_eigenstate():
@@ -438,9 +438,8 @@ def test_rebase_register_rectangular():
 
 def test_embed_controlled_identity_on_other_labels():
     control = Register.path("p", ("u", "v"))
-    inner = OperatorMatrix(("C1",), random_unitary(3), unitary=True)
+    inner = OperatorMatrix(random_unitary(3), unitary=True)
     lifted = embed_controlled(control, "v", inner)
-    assert lifted.target_registers == ("p", "C1")
     assert lifted.unitary
     m = lifted.matrix
     assert np.allclose(m[:3, :3], np.eye(3))
@@ -459,7 +458,7 @@ def test_apply_nonunitary_projector_can_annihilate():
 
     n = 32
     state = make_state([Register.mode("C1", n)], {"C1": cat_state(1.5, -1, n)})
-    out = apply_op(state, pi_projector(+1, n).on("C1"))
+    out = apply_op(state, pi_projector(+1, n), ("C1",))
     assert out.norm() < 1e-12
 
 
@@ -489,11 +488,11 @@ _QUTRIT = make_state([Register.lambda3("A")], {"A": "b"})
     (lambda: Register.mode("M", 0), (RegisterError, "register M: mode dim must be positive")),
     (lambda: CompositeState((Register.lambda3("A"),), np.ones(2)),
      (RegisterError, "amplitude vector has length 2, register product is 3")),
-    (lambda: OperatorMatrix(("A",), np.ones((2, 3))),
+    (lambda: OperatorMatrix(np.ones((2, 3))),
      (RegisterError, "operator matrix must be square, got shape (2, 3)")),
-    (lambda: OperatorMatrix(("A",), np.eye(3)).on("A", "B"),
-     (RegisterError, "operator targets 1 registers, got 2 names")),
-    (lambda: BlockOperator(("A", "C"), np.zeros((2, 2, 2)), (0, -1)),
+    (lambda: apply_op(_QUTRIT, dispersive_blocks(0.3, 4), ("C1",)),
+     (RegisterError, "blocks target (level, mode), got ('C1',)")),
+    (lambda: BlockOperator(np.zeros((2, 2, 2)), (0, -1)),
      (RegisterError, "block shifts must be non-negative, got (0, -1)")),
     (lambda: reorder(_QUTRIT, ("B",)), (RegisterError, "cannot reorder ('A',) as ('B',)")),
 ])

@@ -346,19 +346,19 @@ def test_blocks_match_dense_gates(phi, gt, dim, order, label, seed):
     tens[tuple(edge)] += 3.0
     state = CompositeState(regs, tens / np.linalg.norm(tens))
 
-    dense = embed_controlled(registers["P"], label, dispersive_lambda(phi, dim).on("A", "C"))
-    want = apply_op(state, dense).amplitudes
-    have = apply_op(state, dispersive_blocks(phi, dim).on("A", "C"), ("P", label)).amplitudes
+    dense = embed_controlled(registers["P"], label, dispersive_lambda(phi, dim))
+    want = apply_op(state, dense, ("P", "A", "C")).amplitudes
+    have = apply_op(state, dispersive_blocks(phi, dim), ("A", "C"), ("P", label)).amplitudes
     assert np.max(np.abs(have - want)) < 1e-12
 
-    want = apply_op(state, jc_unitary(gt, dim).on("Q", "C")).amplitudes
-    have = apply_op(state, jc_blocks(gt, dim).on("Q", "C")).amplitudes
+    want = apply_op(state, jc_unitary(gt, dim), ("Q", "C")).amplitudes
+    have = apply_op(state, jc_blocks(gt, dim), ("Q", "C")).amplitudes
     assert np.max(np.abs(have - want)) < 1e-12
 
-    dense = embed_controlled(registers["P"], label, jc_unitary(gt, dim).on("Q", "C"))
-    want = apply_op(state, dense).amplitudes
-    have = apply_op(state, jc_blocks(gt, dim).on("Q", "C"), ("P", label)).amplitudes
+    dense = embed_controlled(registers["P"], label, jc_unitary(gt, dim))
+    want = apply_op(state, dense, ("P", "Q", "C")).amplitudes
+    have = apply_op(state, jc_blocks(gt, dim), ("Q", "C"), ("P", label)).amplitudes
     assert np.max(np.abs(have - want)) < 1e-12
     # a dense operator takes the control slice too
-    have = apply_op(state, jc_unitary(gt, dim).on("Q", "C"), ("P", label)).amplitudes
+    have = apply_op(state, jc_unitary(gt, dim), ("Q", "C"), ("P", label)).amplitudes
     assert np.max(np.abs(have - want)) < 1e-12

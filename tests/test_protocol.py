@@ -414,10 +414,10 @@ def test_probability_product_matches_unnormalized_evolution():
             state = propagate(state, ins.atom, ins.kernel)
         elif isinstance(ins, P.Inject):
             mode = state.register(ins.cavity)
-            state = apply_op(state, displacement(ins.beta, mode.dim).on(ins.cavity))
+            state = apply_op(state, displacement(ins.beta, mode.dim), (ins.cavity,))
         elif isinstance(ins, P.JcPass):
             mode = state.register(ins.cavity)
-            state = apply_op(state, jc_unitary(ins.gt, mode.dim).on(ins.atom, ins.cavity))
+            state = apply_op(state, jc_unitary(ins.gt, mode.dim), (ins.atom, ins.cavity))
     assert state.norm() ** 2 == pytest.approx(report.cumulative_probability, abs=1e-10)
 
 

@@ -609,6 +609,8 @@ _LAYOUT = "cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S u v\nbind u C1\nbind v
 _AT_A1_SPLIT = ("cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S sl1 sl2\natom A1 lambda3 state b\n"
                 "split A1 S\n")
 
+_OVER_BUDGET = "above the budget of 67108864"
+
 
 @pytest.mark.parametrize("text, errors", [
     ("cavity C1 alpha 1\ncavity C1 alpha 2", [(2, "'C1' is already declared as a cavity")]),
@@ -692,8 +694,23 @@ _AT_A1_SPLIT = ("cavity C1 alpha 1\ncavity C2 alpha 1\nscreen S sl1 sl2\natom A1
     ("config gt 1e308\n" + _AT_A1_SPLIT + "checkpoint A1_split",
      [(7, "checkpoint A1_split: the Rabi angle gt·√n overflows a float for gt = 1e+308 at "
           "n = 63")]),
+    ("config alpha 6+2i\n" + _AT_A1_SPLIT + "checkpoint A1_split",
+     [(7, "checkpoint A1_split: coherent amplitude 6+2i: tail mass 2.866e-04 above cutoff 64 "
+          "(need dimension >= 105)")]),
     ("cavity C1 alpha 2 truncation 16\ninject C1 2",
      [(1, "cavity C1: truncation 16 is below the tail bound 58 for amplitude reach 4")]),
+    # a state past the amplitude budget is refused at the command that grows
+    # it, before its register is built, and nothing after that is checked
+    ("cavity C1 alpha 1 truncation 67108865",
+     [(1, f"the state would hold 67108865 amplitudes, {_OVER_BUDGET}")]),
+    ("cavity C1 alpha 1 truncation " + "9" * 400,
+     [(1, f"the state would hold over 1e300 amplitudes, {_OVER_BUDGET}")]),
+    ("cavity C1 alpha 1 truncation 8193\ncavity C2 alpha 1 truncation 8193\n"
+     "atom A lambda3 state q",
+     [(2, f"the state would hold 67125249 amplitudes, {_OVER_BUDGET}")]),
+    ("cavity C1 alpha 1 truncation 8192\ncavity C2 alpha 1 truncation 8192\n"
+     "atom A qubit2 state f\natom B lambda3 state q",
+     [(3, f"the state would hold 134217728 amplitudes, {_OVER_BUDGET}")]),
     # one error per command, however many checks it fails, and every error in
     # line order: the tail bound of line 1 is checked after the last command
     ("cavity C1 alpha 2 truncation 16\ninject C1 2\njcpass A C9 gt pi/8\n"
