@@ -92,71 +92,69 @@ class Kernel:
         object.__setattr__(self, "matrix", m)
 
 
+@dataclass(frozen=True, kw_only=True)
+class Instruction:
+    """One resolved step; ``text`` is the script line it was lowered from, if any."""
+
+    text: str = ""
+
+
 @dataclass(frozen=True)
-class DeclareCavity:
+class DeclareCavity(Instruction):
     name: str
     alpha: complex
     truncation: int
-    text: str = ""
 
 
 @dataclass(frozen=True)
-class DeclareAtom:
+class DeclareAtom(Instruction):
     name: str
     kind: str  # a key of ATOM_LEVELS
     state: str  # basis label, or "input" for the (cb, -cc) preparation
-    text: str = ""
 
 
 @dataclass(frozen=True)
-class Split:
+class Split(Instruction):
     atom: str
     slits: tuple[str, str]
-    text: str = ""
 
 
 @dataclass(frozen=True)
-class CavityPass:
+class CavityPass(Instruction):
     atom: str
     bindings: tuple[tuple[str, str], ...]  # (slit, cavity behind it), in slit order
     phi: float
-    text: str = ""
 
 
 @dataclass(frozen=True)
-class Detect:
+class Detect(Instruction):
     atom: str
     which: str  # internal | position
     label: str
-    text: str = ""
 
 
 @dataclass(frozen=True)
-class Propagate:
+class Propagate(Instruction):
     atom: str
     kernel: Kernel
-    text: str = ""
 
 
 @dataclass(frozen=True)
-class Inject:
+class Inject(Instruction):
     cavity: str
     beta: complex
-    text: str = ""
 
 
 @dataclass(frozen=True)
-class JcPass:
+class JcPass(Instruction):
     atom: str
     cavity: str
     gt: float
-    text: str = ""
 
 
 @dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(Instruction):
     name: str
-    text: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +256,24 @@ def path_name(atom: str) -> str:
     return f"{atom}_path"
 
 
-def split_conflict(atom: str, holder: Register) -> str:
-    """Why an atom cannot split while ``holder`` has its path register's name."""
-    if holder.kind == "path":
-        return f"atom {atom} is already split"
-    return (f"atom {atom} cannot split: its path register name {holder.name!r} is taken "
-            f"by a {holder.kind} register")
+def split_register(registers, atom: str, slits: tuple[str, str]) -> Register:
+    """The path register an atom's split adds to ``registers``."""
+    if len(slits) != 2:
+        raise RegisterError(f"a screen must have exactly 2 slits, got {slits}")
+    name = path_name(atom)
+    for holder in registers:
+        if holder.name == name:
+            raise RegisterError(f"atom {atom} is already split" if holder.kind == "path" else
+                                f"atom {atom} cannot split: its path register name {name!r} "
+                                f"is taken by a {holder.kind} register")
+    return Register.path(name, slits)
 
 
 def split_at_screen(state: CompositeState, atom: str,
                     slits: tuple[str, str]) -> CompositeState:
     """Send an atom through a two-slit screen: equal superposition of slits."""
-    if len(slits) != 2:
-        raise RegisterError(f"a screen must have exactly 2 slits, got {slits}")
-    name = path_name(atom)
-    if name in state.names:
-        raise RegisterError(split_conflict(atom, state.register(name)))
     amp = np.full(2, 1.0 / math.sqrt(2.0), dtype=complex)
-    return extend(state, Register.path(name, slits), amp)
+    return extend(state, split_register(state.registers, atom, slits), amp)
 
 
 def conditional_cavity_pass(
@@ -343,6 +341,10 @@ def jc_pass(state: CompositeState, probe: str, cavity: str, gt: float) -> Compos
 # the runner
 
 
+# the record kind of each step whose record is its name and kind alone; every
+# record is named by its script line, or by its type if built by hand
+_PLAIN_KIND = {DeclareCavity: "declare", DeclareAtom: "declare", Split: "split",
+               CavityPass: "cavity_pass", Propagate: "propagate", JcPass: "jc_pass"}
 _KIND_BY_DETECT = {"lambda3": "detect_internal", "qubit2": "detect_probe"}
 
 # A batched run prepares the input atom entangled with this spectator axis,
@@ -421,10 +423,6 @@ class _Runner:
         gram = columns.conj() @ columns.T
         return [float(np.real(lane.coeffs.conj() @ gram @ lane.coeffs)) for lane in self.lanes]
 
-    def _record(self, step: StepRecord) -> None:
-        for lane in self.lanes:
-            lane.records.append(step)
-
     def final_fidelity(self, lane: _Lane) -> float | None:
         paths = [r for r in self.state.registers if r.kind == "path" and r.dim == 2]
         if len(paths) != 1:
@@ -440,30 +438,28 @@ class _Runner:
             for lane in self.lanes:
                 lane.tail_mass = max(lane.tail_mass, tail)
             self.state = extend(self.state, Register.mode(ins.name, ins.truncation), vec)
-            self._record(StepRecord(ins.text or f"cavity {ins.name}", "declare"))
         elif isinstance(ins, DeclareAtom):
             self._declare_atom(ins)
-            self._record(StepRecord(ins.text or f"atom {ins.name}", "declare"))
         elif isinstance(ins, Split):
             self.state = split_at_screen(self.state, ins.atom, ins.slits)
-            self._record(StepRecord(ins.text or f"split {ins.atom}", "split"))
         elif isinstance(ins, CavityPass):
             self.state = conditional_cavity_pass(self.state, ins.atom, ins.bindings, ins.phi)
-            self._record(StepRecord(ins.text or f"pass {ins.atom}", "cavity_pass"))
         elif isinstance(ins, Detect):
             self._detect(ins)
         elif isinstance(ins, Propagate):
             self.state = propagate(self.state, ins.atom, ins.kernel)
-            self._record(StepRecord(ins.text or f"propagate {ins.atom}", "propagate"))
         elif isinstance(ins, Inject):
             self._inject(ins)
         elif isinstance(ins, JcPass):
             self.state = jc_pass(self.state, ins.atom, ins.cavity, ins.gt)
-            self._record(StepRecord(ins.text or f"jcpass {ins.atom}", "jc_pass"))
         elif isinstance(ins, Checkpoint):
             self._checkpoint(ins)
         else:
             raise ValueError(f"unknown instruction {ins!r}")
+        kind = _PLAIN_KIND.get(type(ins))
+        if kind:
+            for lane in self.lanes:
+                lane.records.append(StepRecord(ins.text or type(ins).__name__, kind))
 
     def _declare_atom(self, ins: DeclareAtom) -> None:
         if ins.kind not in ATOM_LEVELS:
@@ -515,7 +511,7 @@ class _Runner:
                 raise ImpossibleOutcomeError(f"outcome {label!r} is impossible for an input")
         for lane, p in zip(self.lanes, probabilities):
             lane.cumulative *= p
-            lane.records.append(StepRecord(ins.text or f"detect {ins.atom}", kind,
+            lane.records.append(StepRecord(ins.text or type(ins).__name__, kind,
                                            outcome=label, probability=p))
 
     def _inject(self, ins: Inject) -> None:
@@ -529,13 +525,13 @@ class _Runner:
                                       "for an input")
         for lane, t in zip(self.lanes, tops):
             lane.tail_mass = max(lane.tail_mass, t)
-            lane.records.append(StepRecord(ins.text or f"inject {ins.cavity}", "inject"))
+            lane.records.append(StepRecord(ins.text or type(ins).__name__, "inject"))
 
     def _checkpoint(self, ins: Checkpoint) -> None:
         for lane in self.lanes:
             registers, terms = oracle.checkpoint_terms(ins.name, **asdict(lane.inputs))
             value = product_fidelity(self._view(lane), registers, terms)
-            lane.records.append(StepRecord(ins.text or f"checkpoint {ins.name}", "checkpoint",
+            lane.records.append(StepRecord(ins.text or type(ins).__name__, "checkpoint",
                                            outcome=ins.name, checkpoint_fidelity=value))
 
 

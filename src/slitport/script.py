@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import protocol
 from .fockspace import ATOM_LEVELS, Register
@@ -183,7 +183,7 @@ def parse_param(name: str, token: str):
     if name not in PARAM_NAMES:
         raise ValueError(f"unknown config key {name!r} (valid: {', '.join(PARAM_NAMES)})")
     if token.startswith("$"):
-        raise ValueError("config values define parameters and cannot reference them")
+        raise ValueError(f"{name} takes a literal value and cannot reference a parameter")
     return _SLOTS[_PARAM_SLOTS[name]](token)
 
 
@@ -210,6 +210,8 @@ def _parse_args(keyword: str, tokens: list[str]) -> tuple:
     if keyword == "config":
         if len(tokens) != 2:
             raise ValueError(f"expected '{usage}'")
+        if tokens[0] in PARAM_NAMES and tokens[1].startswith("$"):
+            raise ValueError("config values define parameters and cannot reference them")
         return (tokens[0], parse_param(*tokens))
     required, words = _GRAMMAR[keyword]
     if words[-1] == "MATRIX" and len(tokens) > len(words):
@@ -335,9 +337,9 @@ class _Validator:
         # the runner's register list at this point of the script, by name
         self.live: dict[str, Register] = {}
         self.slit_owner: dict[str, str] = {}
-        self.injections: dict[str, float] = {}
         self.seen_config: set[str] = set()
-        self.instructions: list = []
+        self.terms_built = False  # the first checkpoint's cached parts
+        self.instructions: list[protocol.Instruction] = []
 
     def _checks(self):
         """(line, check, argument): each command, then each cavity's tail bound."""
@@ -351,7 +353,9 @@ class _Validator:
         errors: list[tuple[int, str]] = []
         for line, check, arg in self._checks():
             try:
-                check(arg)
+                ins = check(arg)
+                if ins is not None:  # a command lowered to a step, named by its line
+                    self.instructions.append(replace(ins, text=serialize_command(arg)))
                 self._budget()
             except ValueError as exc:
                 errors.append((line, str(exc)))
@@ -402,7 +406,7 @@ class _Validator:
             raise ValueError(f"config {key} given twice")
         self.seen_config.add(key)
 
-    def _cmd_cavity(self, cmd: Command) -> None:
+    def _cmd_cavity(self, cmd: Command) -> protocol.DeclareCavity:
         name, alpha_arg, trunc_arg = cmd.args
         self._fresh(name)
         alpha = _resolve(alpha_arg, self.inputs, f"cavity {name}", "NUM")
@@ -411,14 +415,12 @@ class _Validator:
         if trunc < 2:
             raise ValueError(f"cavity {name}: truncation must be at least 2")
         self._budget(trunc)
-        spec = protocol.DeclareCavity(name, alpha, trunc, text=serialize_command(cmd))
-        self.cavities[name] = spec
+        spec = self.cavities[name] = protocol.DeclareCavity(name, alpha, trunc)
         self.live[name] = Register.mode(name, trunc)
         self.cavity_line[name] = cmd.line
-        self.injections[name] = 0.0
-        self.instructions.append(spec)
+        return spec
 
-    def _cmd_atom(self, cmd: Command) -> None:
+    def _cmd_atom(self, cmd: Command) -> protocol.DeclareAtom:
         name, kind, state = cmd.args
         self._fresh(name)
         valid = ATOM_LEVELS[kind] + (("input",) if kind == "lambda3" else ())
@@ -426,8 +428,7 @@ class _Validator:
             raise ValueError(f"atom {name}: unknown label {state!r} (valid: {', '.join(valid)})")
         self.atom_kind[name] = kind
         self.live[name] = Register(name, kind, ATOM_LEVELS[kind])
-        self.instructions.append(protocol.DeclareAtom(name, kind, state,
-                                                      text=serialize_command(cmd)))
+        return protocol.DeclareAtom(name, kind, state)
 
     def _cmd_screen(self, cmd: Command) -> None:
         name, s1, s2 = cmd.args
@@ -461,17 +462,14 @@ class _Validator:
                              f"matrix has {len(rows)} rows")
         self.kernels[name] = protocol.Kernel(targets, rows)
 
-    def _cmd_split(self, cmd: Command) -> None:
+    def _cmd_split(self, cmd: Command) -> protocol.Split:
         atom, screen = cmd.args
         self._atom(atom)
-        slits = self._screen(screen)
-        path = protocol.path_name(atom)
-        if path in self.live:
-            raise ValueError(protocol.split_conflict(atom, self.live[path]))
-        self.live[path] = Register.path(path, slits)
-        self.instructions.append(protocol.Split(atom, slits, text=serialize_command(cmd)))
+        path = protocol.split_register(self.live.values(), atom, self._screen(screen))
+        self.live[path.name] = path
+        return protocol.Split(atom, path.labels)
 
-    def _cmd_pass(self, cmd: Command) -> None:
+    def _cmd_pass(self, cmd: Command) -> protocol.CavityPass:
         atom, screen, phi = cmd.args
         if self._atom(atom) != "lambda3":
             raise ValueError(f"atom {atom} must be lambda3 to pass through cavities")
@@ -489,10 +487,9 @@ class _Validator:
         phi = _resolve(phi, self.inputs, f"pass {atom}", "ANGLE")
         for _, cavity in bindings:
             dispersive_blocks(phi, self.cavities[cavity].truncation)  # cached for the run
-        self.instructions.append(
-            protocol.CavityPass(atom, bindings, phi, text=serialize_command(cmd)))
+        return protocol.CavityPass(atom, bindings, phi)
 
-    def _cmd_detect(self, cmd: Command) -> None:
+    def _cmd_detect(self, cmd: Command) -> protocol.Detect:
         atom, which, label = cmd.args
         kind = self._atom(atom)
         if which == "internal":
@@ -509,9 +506,9 @@ class _Validator:
                 raise ValueError(f"label {label!r} is not in {atom}'s current basis "
                                  f"({', '.join(path.labels)})")
             del self.live[path.name]
-        self.instructions.append(protocol.Detect(atom, which, label, text=serialize_command(cmd)))
+        return protocol.Detect(atom, which, label)
 
-    def _cmd_propagate(self, cmd: Command) -> None:
+    def _cmd_propagate(self, cmd: Command) -> protocol.Propagate:
         atom, kernel = cmd.args
         self._atom(atom)
         if kernel not in self.kernels:
@@ -524,16 +521,14 @@ class _Validator:
             raise ValueError(f"kernel {kernel} has {spec.matrix.shape[1]} columns but "
                              f"{atom}'s basis has {path.dim} labels")
         self.live[path.name] = Register.path(path.name, spec.target_labels)
-        self.instructions.append(protocol.Propagate(atom, spec, text=serialize_command(cmd)))
+        return protocol.Propagate(atom, spec)
 
-    def _cmd_inject(self, cmd: Command) -> None:
+    def _cmd_inject(self, cmd: Command) -> protocol.Inject:
         cavity, beta_arg = cmd.args
         self._cavity(cavity)
-        beta = _resolve(beta_arg, self.inputs, f"inject {cavity}", "NUM")
-        self.injections[cavity] += abs(beta)
-        self.instructions.append(protocol.Inject(cavity, beta, text=serialize_command(cmd)))
+        return protocol.Inject(cavity, _resolve(beta_arg, self.inputs, f"inject {cavity}", "NUM"))
 
-    def _cmd_jcpass(self, cmd: Command) -> None:
+    def _cmd_jcpass(self, cmd: Command) -> protocol.JcPass:
         atom, cavity, gt = cmd.args
         if self._atom(atom) != "qubit2":
             raise ValueError(f"atom {atom} must be qubit2 for a resonant pass")
@@ -541,9 +536,9 @@ class _Validator:
         truncation = self._cavity(cavity).truncation
         gt = _resolve(gt, self.inputs, f"jcpass {atom}", "ANGLE")
         jc_blocks(gt, truncation)  # cached for the run
-        self.instructions.append(protocol.JcPass(atom, cavity, gt, text=serialize_command(cmd)))
+        return protocol.JcPass(atom, cavity, gt)
 
-    def _cmd_checkpoint(self, cmd: Command) -> None:
+    def _cmd_checkpoint(self, cmd: Command) -> protocol.Checkpoint:
         """Check a checkpoint by building it, as the run will."""
         name = cmd.args[0]
         registers = checkpoint_registers(name, self.inputs.truncation)
@@ -554,17 +549,18 @@ class _Validator:
                    for r in registers if self.live[r.name] != r]
         if changed:
             raise ValueError(f"checkpoint {name}: register {'; '.join(changed)}")
-        first = not any(isinstance(i, protocol.Checkpoint) for i in self.instructions)
-        self.instructions.append(protocol.Checkpoint(name, text=serialize_command(cmd)))
-        if first:  # every later checkpoint shares the cached parts this one builds
+        if not self.terms_built:  # every later checkpoint shares the parts this one builds
+            self.terms_built = True
             try:
                 checkpoint_terms(name, **asdict(self.inputs))
             except ValueError as exc:
                 raise ValueError(f"checkpoint {name}: {exc}") from None
+        return protocol.Checkpoint(name)
 
     def _tail_bound(self, name: str) -> None:
         spec = self.cavities[name]
-        reach = abs(spec.alpha) + self.injections[name]
+        reach = abs(spec.alpha) + sum(abs(ins.beta) for ins in self.instructions  # in run order
+                                      if isinstance(ins, protocol.Inject) and ins.cavity == name)
         needed = tail_bound_dim(reach)
         if spec.truncation < needed:
             raise ValueError(f"cavity {name}: truncation {spec.truncation} is below the tail "

@@ -308,6 +308,60 @@ def test_parameter_flags_reject_references(capsys, argv):
     assert "cannot reference" in capsys.readouterr().err
 
 
+_LITERAL_ONLY = "takes a literal value and cannot reference a parameter"
+_PAPER_ERROR = "slitport paper: error: argument"
+
+
+# a $name outside a script is refused with a message about its own source;
+# a config line's refusal is pinned with the other malformed lines
+@pytest.mark.parametrize("argv, message", [
+    (["paper", "--gt", "$alpha"], f"{_PAPER_ERROR} --gt: gt {_LITERAL_ONLY}"),
+    (["paper", "--truncation", "$truncation"],
+     f"{_PAPER_ERROR} --truncation: truncation {_LITERAL_ONLY}"),
+    (["sweep", "--param", "alpha", "--values", "$alpha"],
+     f"could not parse --values '$alpha': alpha {_LITERAL_ONLY}"),
+])
+def test_parameter_reference_message(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse refuses a flag value
+        code = exit_.code
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+# `slitport paper`'s report at the default inputs and at --cb 0.6 --cc 0.8i,
+# recorded from the dense engine: every step's record and the run's totals
+REFERENCE_RUNS = json.loads((ROOT / "tests" / "reference_runs.json").read_text(encoding="utf-8"))
+_RECORD = ("name", "kind", "outcome", "probability", "checkpoint_fidelity")
+
+
+def _assert_matches(got, want, where):
+    """Strings, nulls and lengths equal; reals within 1e-12 absolute."""
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for index, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{index}]")
+    elif isinstance(want, (int, float)):
+        assert isinstance(got, (int, float)) and abs(got - want) <= 1e-12, (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+@pytest.mark.parametrize("case", REFERENCE_RUNS,
+                         ids=lambda case: " ".join(case["flags"]) or "defaults")
+def test_reference_run_numbers_are_pinned(tmp_path, case):
+    # an engine that reorders its arithmetic still passes: a BLAS build that
+    # differs in the last bits stays within 1e-12
+    out = tmp_path / "report.json"
+    assert main(["paper", *case["flags"], "--json", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    _assert_matches([[step[key] for key in _RECORD] for step in report["steps"]],
+                    case["steps"], "steps")
+    for key in ("cumulative_probability", "final_fidelity", "truncation_tail_mass"):
+        _assert_matches(report[key], case[key], key)
+
+
 def test_script_rejects_non_finite_literal(capsys, tmp_path):
     script = tmp_path / "inf.qprot"
     script.write_text(SCENARIO.read_text().replace("config alpha 2", "config alpha inf"))

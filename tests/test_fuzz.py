@@ -8,21 +8,23 @@ mutant either fails ``resolve`` with a ``ScriptError`` or runs
 post-selected to a report, where the only failure left is an impossible
 outcome: ``check`` passing means ``run`` cannot exit 2.  The same
 mutants, written to a file and given to the CLI, exit only with the
-documented codes.
+documented codes.  And on the mutants that resolve, the validator's mirror
+of the live registers, which its budget and checkpoint checks read,
+equals the runner's register list after every step.
 """
 
 import contextlib
 import io
 import warnings
 
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from slitport.cli import main
 from slitport.fockspace import ImpossibleOutcomeError
-from slitport.protocol import ProtocolError, run_protocol
+from slitport.protocol import ProtocolError, _Runner, run_protocol
 from slitport.scenario import REFERENCE_SCRIPT
-from slitport.script import PARAM_NAMES, ScriptError, parse, resolve
+from slitport.script import PARAM_NAMES, ScriptError, _Validator, parse, resolve, resolve_inputs
 
 LINES = REFERENCE_SCRIPT.splitlines()
 EXTREMES = ("0", "-1", "1e-300", "1e200", "1e308", "inf", "nan", "2+1i")
@@ -126,3 +128,38 @@ def test_the_cli_exits_with_a_documented_code(tmp_path_factory, mutations):
     assert codes["check"] in (0, 2), codes
     assert codes["run"] in (0, 2, 3), codes
     assert codes["run"] != 2 or codes["check"] == 2, codes
+
+
+class _MirroredValidator(_Validator):
+    """Records the live registers each time a command is lowered to a step."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.mirrors = []
+
+    def _budget(self, factor: int = 1) -> None:
+        super()._budget(factor)
+        if len(self.mirrors) < len(self.instructions):
+            self.mirrors.append(tuple(self.live.values()))
+
+
+# about three mutants in four fail to resolve, and only the rest count
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(MUTATIONS)
+@example([])  # the reference script itself
+def test_the_validator_mirrors_the_runner_registers(mutations):
+    try:
+        script = parse(mutant(mutations))
+        validator = _MirroredValidator(script, resolve_inputs(script))
+        run = validator.run()
+    except ScriptError:
+        assume(False)  # only mutants that resolve count towards the examples
+    assert len(validator.mirrors) == len(run.instructions)
+    runner = _Runner([run.inputs], sample=False, seed=None)
+    for ins, live in zip(run.instructions, validator.mirrors):
+        try:
+            runner.execute(ins)
+        except ImpossibleOutcomeError:
+            return  # the only failure a resolved mutant may meet
+        assert runner.state.registers == live, ins.text

@@ -31,6 +31,7 @@ from slitport.protocol import (
     Inject,
     JcPass,
     Kernel,
+    Propagate,
     ProtocolError,
     RunInputs,
     Split,
@@ -96,6 +97,28 @@ def test_split_names_the_register_that_holds_the_path_name():
         split_at_screen(state, "A1", SLITS)
     assert str(err.value) == ("atom A1 cannot split: its path register name 'A1_path' is taken "
                               "by a qubit2 register")
+
+
+def test_a_step_built_by_hand_is_named_by_its_type():
+    # one instruction of each kind: a script line names its record, and an
+    # instruction built without one is named by its type
+    instructions = [
+        DeclareCavity("C1", 1.0, 32), DeclareCavity("C2", 1.0, 32),
+        DeclareAtom("A1", "lambda3", "b", text="atom A1 lambda3 state b"), Split("A1", SLITS),
+        Checkpoint("A1_split"), CavityPass("A1", BINDINGS, math.pi),
+        Propagate("A1", Kernel(("dp",), np.array([[R, R]]))), Detect("A1", "position", "dp"),
+        Detect("A1", "internal", "b"), Inject("C1", 0.1), DeclareAtom("P", "qubit2", "f"),
+        JcPass("P", "C2", 0.3),
+    ]
+    report = run_protocol(instructions, RunInputs(alpha=1.0, truncation=32))
+    assert [(s.name, s.kind) for s in report.steps] == [
+        ("DeclareCavity", "declare"), ("DeclareCavity", "declare"),
+        ("atom A1 lambda3 state b", "declare"), ("Split", "split"),
+        ("Checkpoint", "checkpoint"), ("CavityPass", "cavity_pass"),
+        ("Propagate", "propagate"), ("Detect", "detect_position"),
+        ("Detect", "detect_internal"), ("Inject", "inject"), ("DeclareAtom", "declare"),
+        ("JcPass", "jc_pass"),
+    ]
 
 
 # --- conditional cavity pass ---
