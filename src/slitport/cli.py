@@ -220,20 +220,24 @@ def _sweep(values: list[float | complex], args: argparse.Namespace) -> list[dict
     entries = [{"value": v, "final_fidelity": None, "cumulative_probability": None,
                 "error": None} for v in values]
     parsed = script.parse(REFERENCE_SCRIPT)
+    # the script reads cb and cc only as the input amplitudes: the rest key a lowering
+    lowered = {}
     runs = {}  # entry index -> (its instructions without checkpoints, its inputs)
     for index, value in enumerate(values):
         try:
-            run = script.resolve(parsed, _sweep_overrides(args.param, value, args))
+            overrides = _sweep_overrides(args.param, value, args)
+            inputs = script.resolve_inputs(parsed, overrides)
+            key = frozenset(item for item in overrides.items() if item[0] not in ("cb", "cc"))
+            if key not in lowered:
+                # an entry prints no checkpoint score, and a checkpoint changes no
+                # state and draws no random number: the runs skip them
+                lowered[key] = [ins for ins in script.resolve(parsed, overrides).instructions
+                                if not isinstance(ins, protocol.Checkpoint)]
         except ValueError as exc:
             _settle(entries[index], exc)
             continue
-        # an entry prints no checkpoint score, and a checkpoint changes no
-        # state and draws no random number: the runs skip them
-        runs[index] = ([ins for ins in run.instructions
-                        if not isinstance(ins, protocol.Checkpoint)], run.inputs)
+        runs[index] = (lowered[key], inputs)
     if args.param == "cb" and not args.sample and runs:
-        # the reference script reads cb and cc only as the input amplitudes,
-        # so every value shares the first one's instructions
         first, _ = next(iter(runs.values()))
         outcomes = run_batch(first, [inputs for _, inputs in runs.values()])
     else:

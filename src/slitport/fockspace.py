@@ -146,8 +146,11 @@ class CompositeState:
                 return i
         raise RegisterError(f"no register named {name!r} (have: {', '.join(self.names) or 'none'})")
 
-    def register(self, name: str) -> Register:
-        return self.registers[self.axis(name)]
+    def register(self, name: str, kind: str | None = None) -> Register:
+        register = self.registers[self.axis(name)]
+        if kind is not None and register.kind != kind:
+            raise RegisterError(f"register {name} is {register.kind}, not {kind}")
+        return register
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.shape)

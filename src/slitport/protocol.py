@@ -289,7 +289,7 @@ def conditional_cavity_pass(
     cavity mode), one 3x3 block per photon number, on the slice where the
     atom's path is at that slit.  Unitary overall.
     """
-    path = state.register(path_name(atom))
+    path = state.register(path_name(atom), "path")
     slits = tuple(slit for slit, _ in bindings)
     if path.labels != slits:
         raise RegisterError(f"atom {atom} path basis {path.labels} is not the slits {slits}")
@@ -307,7 +307,7 @@ def propagate(state: CompositeState, atom: str, kernel: Kernel) -> CompositeStat
     kernels shed undetected flux; the state is renormalized only at the
     next detection.
     """
-    name = path_name(atom)
+    name = state.register(path_name(atom), "path").name
     target = Register.path(name, kernel.target_labels)
     return rebase_register(state, name, kernel.matrix, target)
 
@@ -483,22 +483,22 @@ class _Runner:
                                     np.concatenate(halves) / math.sqrt(2.0))
 
     def _detect(self, ins: Detect) -> None:
-        register = ins.atom if ins.which == "internal" else path_name(ins.atom)
-        reg = self.state.register(register)
-        kind = "detect_position" if ins.which == "position" else _KIND_BY_DETECT.get(
-            reg.kind, "detect_internal"
-        )
+        if ins.which == "position":
+            reg, kind = self.state.register(path_name(ins.atom), "path"), "detect_position"
+        else:
+            reg = self.state.register(ins.atom)
+            kind = _KIND_BY_DETECT.get(reg.kind, "detect_internal")
         label = ins.label
         if self.rng is not None:
-            weights = label_probabilities(self.state, register)
+            weights = label_probabilities(self.state, reg.name)
             total = weights.sum()
             if total < IMPOSSIBLE_OUTCOME_THRESHOLD:
                 raise ImpossibleOutcomeError(
-                    f"every outcome on register {register} has probability below "
+                    f"every outcome on register {reg.name} has probability below "
                     f"{IMPOSSIBLE_OUTCOME_THRESHOLD:g} (total {total:.3e})"
                 )
             label = reg.labels[self.rng.choice(reg.dim, p=weights / total)]
-        self.state, probability = collapse(self.state, register, label)
+        self.state, probability = collapse(self.state, reg.name, label)
         probabilities = [probability] * len(self.lanes)
         if self._has_basis():
             # the branch's Gram matrix is probability times the new state's

@@ -380,21 +380,18 @@ class _Validator:
             if name in table:
                 raise ValueError(f"{name!r} is already declared as {kind}")
 
-    def _cavity(self, name: str) -> protocol.DeclareCavity:
-        if name not in self.cavities:
-            raise ValueError(f"cavity {name!r} is not declared")
-        return self.cavities[name]
+    def _declared(self, table: dict, what: str, name: str):
+        """A declared name's entry in its table: a cavity, screen, atom or kernel."""
+        if name not in table:
+            raise ValueError(f"{what} {name!r} is not declared")
+        return table[name]
 
-    def _screen(self, name: str) -> tuple[str, str]:
-        if name not in self.screens:
-            raise ValueError(f"screen {name!r} is not declared")
-        return self.screens[name]
-
-    def _atom(self, name: str) -> str:
-        """The declared atom's kind."""
-        if name not in self.atom_kind:
-            raise ValueError(f"atom {name!r} is not declared")
-        return self.atom_kind[name]
+    def _path(self, atom: str, message: str, labels: tuple | None = None) -> Register:
+        """The live path-kind register named path_name(atom), with ``labels`` if given."""
+        path = self.live.get(protocol.path_name(atom))
+        if path is None or path.kind != "path" or labels not in (None, path.labels):
+            raise ValueError(message)
+        return path
 
     def _live(self, atom: str) -> None:
         if atom not in self.live:
@@ -444,7 +441,7 @@ class _Validator:
         slit, cavity = cmd.args
         if slit not in self.slit_owner:
             raise ValueError(f"slit {slit!r} is not declared by any screen")
-        self._cavity(cavity)
+        self._declared(self.cavities, "cavity", cavity)
         if slit in self.bindings:
             raise ValueError(f"slit {slit} is already bound to {self.bindings[slit]}")
         self.bindings[slit] = cavity
@@ -464,20 +461,19 @@ class _Validator:
 
     def _cmd_split(self, cmd: Command) -> protocol.Split:
         atom, screen = cmd.args
-        self._atom(atom)
-        path = protocol.split_register(self.live.values(), atom, self._screen(screen))
+        self._declared(self.atom_kind, "atom", atom)
+        slits = self._declared(self.screens, "screen", screen)
+        path = protocol.split_register(self.live.values(), atom, slits)
         self.live[path.name] = path
         return protocol.Split(atom, path.labels)
 
     def _cmd_pass(self, cmd: Command) -> protocol.CavityPass:
         atom, screen, phi = cmd.args
-        if self._atom(atom) != "lambda3":
+        if self._declared(self.atom_kind, "atom", atom) != "lambda3":
             raise ValueError(f"atom {atom} must be lambda3 to pass through cavities")
         self._live(atom)
-        slits = self._screen(screen)
-        path = self.live.get(protocol.path_name(atom))
-        if path is None or path.labels != slits:
-            raise ValueError(f"atom {atom} is not at screen {screen}'s slits")
+        slits = self._declared(self.screens, "screen", screen)
+        self._path(atom, f"atom {atom} is not at screen {screen}'s slits", slits)
         for slit in slits:
             if slit not in self.bindings:
                 raise ValueError(f"slit {slit} has no cavity")
@@ -491,7 +487,7 @@ class _Validator:
 
     def _cmd_detect(self, cmd: Command) -> protocol.Detect:
         atom, which, label = cmd.args
-        kind = self._atom(atom)
+        kind = self._declared(self.atom_kind, "atom", atom)
         if which == "internal":
             self._live(atom)
             valid = ATOM_LEVELS[kind]
@@ -499,9 +495,7 @@ class _Validator:
                 raise ValueError(f"unknown label {label!r} (valid: {', '.join(valid)})")
             del self.live[atom]
         else:
-            path = self.live.get(protocol.path_name(atom))
-            if path is None:
-                raise ValueError(f"atom {atom} has no path register to detect")
+            path = self._path(atom, f"atom {atom} has no path register to detect")
             if label not in path.labels:
                 raise ValueError(f"label {label!r} is not in {atom}'s current basis "
                                  f"({', '.join(path.labels)})")
@@ -510,13 +504,9 @@ class _Validator:
 
     def _cmd_propagate(self, cmd: Command) -> protocol.Propagate:
         atom, kernel = cmd.args
-        self._atom(atom)
-        if kernel not in self.kernels:
-            raise ValueError(f"kernel {kernel!r} is not declared")
-        path = self.live.get(protocol.path_name(atom))
-        if path is None:
-            raise ValueError(f"atom {atom} has no path register to propagate")
-        spec = self.kernels[kernel]
+        self._declared(self.atom_kind, "atom", atom)
+        spec = self._declared(self.kernels, "kernel", kernel)
+        path = self._path(atom, f"atom {atom} has no path register to propagate")
         if spec.matrix.shape[1] != path.dim:
             raise ValueError(f"kernel {kernel} has {spec.matrix.shape[1]} columns but "
                              f"{atom}'s basis has {path.dim} labels")
@@ -525,15 +515,15 @@ class _Validator:
 
     def _cmd_inject(self, cmd: Command) -> protocol.Inject:
         cavity, beta_arg = cmd.args
-        self._cavity(cavity)
+        self._declared(self.cavities, "cavity", cavity)
         return protocol.Inject(cavity, _resolve(beta_arg, self.inputs, f"inject {cavity}", "NUM"))
 
     def _cmd_jcpass(self, cmd: Command) -> protocol.JcPass:
         atom, cavity, gt = cmd.args
-        if self._atom(atom) != "qubit2":
+        if self._declared(self.atom_kind, "atom", atom) != "qubit2":
             raise ValueError(f"atom {atom} must be qubit2 for a resonant pass")
         self._live(atom)
-        truncation = self._cavity(cavity).truncation
+        truncation = self._declared(self.cavities, "cavity", cavity).truncation
         gt = _resolve(gt, self.inputs, f"jcpass {atom}", "ANGLE")
         jc_blocks(gt, truncation)  # cached for the run
         return protocol.JcPass(atom, cavity, gt)

@@ -234,6 +234,20 @@ def test_a_sweep_entry_equals_the_full_run(capsys, tmp_path, param, value, flags
         assert entry[key] == report[key]
 
 
+@pytest.mark.parametrize("argv, resolves", [
+    # cb and cc reach only the input amplitudes: every cb value shares one lowering
+    (["--param", "cb", "--values=0.6,0.8,-0.3"], 1),
+    (["--param", "alpha", "--values", "1,2"], 2),
+])
+def test_sweep_lowers_the_script_once_per_lowering_it_needs(capsys, monkeypatch, argv, resolves):
+    calls = []
+    resolve = slitport.script.resolve
+    monkeypatch.setattr(slitport.script, "resolve", lambda *a: calls.append(a) or resolve(*a))
+    assert main(["sweep", *argv]) == 0
+    capsys.readouterr()
+    assert len(calls) == resolves
+
+
 def test_sweep_empty_values(capsys):
     assert main(["sweep", "--param", "alpha", "--values", " "]) == 2
     capsys.readouterr()

@@ -314,11 +314,22 @@ def test_jc_pass_needs_probe():
         jc_pass(state, "A1", "C1", 0.3)
 
 
+# an atom A1 next to a qubit2 atom that holds the name of A1's path register
+_PATH_TAKEN = [DeclareAtom("A1", "lambda3", "b"), DeclareAtom("A1_path", "qubit2", "f")]
+
+
 @pytest.mark.parametrize("instructions, message", [
     ([DeclareAtom("X", "bogus", "b")], "atom X: unknown kind 'bogus'"),
     ([DeclareAtom("P", "qubit2", "input")], "atom P: 'input' preparation needs a lambda3 atom"),
     ([DeclareCavity("C1", 1.0, 16), DeclareAtom("A", "lambda3", "b"), JcPass("A", "C1", 0.3)],
      "jc pass needs a two-level probe, A is not one"),
+    # an atom's path register must be of kind path, whatever else holds its name
+    (_PATH_TAKEN + [Detect("A1", "position", "f")], "register A1_path is qubit2, not path"),
+    (_PATH_TAKEN + [Propagate("A1", Kernel(("d",), [[1, 0]]))],
+     "register A1_path is qubit2, not path"),
+    ([DeclareCavity("C1", 1.0, 16), DeclareCavity("C2", 1.0, 16)] + _PATH_TAKEN
+     + [CavityPass("A1", (("f", "C1"), ("e", "C2")), math.pi)],
+     "register A1_path is qubit2, not path"),
 ])
 def test_runner_register_errors(instructions, message):
     with pytest.raises(ProtocolError) as err:

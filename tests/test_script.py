@@ -667,6 +667,15 @@ _OVER_BUDGET = "above the budget of 67108864"
      [(3, "atom A has no path register to propagate")]),
     ("screen S u v\nkernel K [1]\natom A lambda3 state b\nsplit A S\npropagate A K",
      [(5, "kernel K has 1 columns but A's basis has 2 labels")]),
+    # an atom's path register is the path-kind one named <atom>_path, never
+    # another kind of register that holds the name
+    ("atom A1 lambda3 state b\natom A1_path qubit2 state f\ndetect A1 position f",
+     [(3, "atom A1 has no path register to detect")]),
+    ("atom A1 lambda3 state b\natom A1_path qubit2 state f\nkernel K [1 0]\npropagate A1 K",
+     [(4, "atom A1 has no path register to propagate")]),
+    ("cavity C1 alpha 1 truncation 20\ncavity C2 alpha 1 truncation 20\nscreen S f e\n"
+     "bind f C1\nbind e C2\natom A1 lambda3 state b\natom A1_path qubit2 state f\n"
+     "pass A1 S phi pi", [(8, "atom A1 is not at screen S's slits")]),
     ("inject C1 1", [(1, "cavity 'C1' is not declared")]),
     ("jcpass P C1 gt pi/8", [(1, "atom 'P' is not declared")]),
     ("cavity C1 alpha 1\natom A lambda3 state b\njcpass A C1 gt pi/8",
