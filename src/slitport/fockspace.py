@@ -345,21 +345,27 @@ def collapse(state: CompositeState, register: str, label: str) -> tuple[Composit
     pass over the kept slice.  Raises ImpossibleOutcomeError when that
     weight is below 1e-14, which signals post-selection of a dead branch.
     """
-    axis = state.axis(register)
-    index = state.registers[axis].index(label)
-    branch = np.take(state.tensor(), index, axis=axis).reshape(-1)
-    # squared in abs's own buffer: the bits of np.abs(branch) ** 2, one
-    # slice-sized temporary fewer
-    weights = np.abs(branch)
-    probability = float(np.sum(np.square(weights, out=weights)))
+    branch, probability = label_branch(state, register, label)
     if probability < IMPOSSIBLE_OUTCOME_THRESHOLD:
         raise ImpossibleOutcomeError(
             f"outcome {label!r} on register {register} has probability "
             f"{probability:.3e}, below {IMPOSSIBLE_OUTCOME_THRESHOLD:g}"
         )
     branch /= np.sqrt(probability)
+    axis = state.axis(register)
     remaining = state.registers[:axis] + state.registers[axis + 1:]
     return CompositeState(remaining, branch), probability
+
+
+def label_branch(state: CompositeState, register: str, label: str) -> tuple[np.ndarray, float]:
+    """One label's slice of the state, as a fresh flat array, and its squared norm."""
+    axis = state.axis(register)
+    index = state.registers[axis].index(label)
+    branch = np.take(state.tensor(), index, axis=axis).reshape(-1)
+    # squared in abs's own buffer: the bits of np.abs(branch) ** 2, one
+    # slice-sized temporary fewer
+    weights = np.abs(branch)
+    return branch, float(np.sum(np.square(weights, out=weights)))
 
 
 def project(state: CompositeState, register: str, label: str) -> tuple[CompositeState, float]:

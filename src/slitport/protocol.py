@@ -34,6 +34,7 @@ from .fockspace import (
     embed_controlled,  # noqa: F401  (perfbench patches it by this module's name)
     extend,
     fidelity,  # noqa: F401  (perfbench patches it by this module's name)
+    label_branch,
     label_probabilities,
     product_fidelity,
     project,  # noqa: F401  (perfbench patches it by this module's name)
@@ -294,7 +295,7 @@ def conditional_cavity_pass(
     if path.labels != slits:
         raise RegisterError(f"atom {atom} path basis {path.labels} is not the slits {slits}")
     for slit, cavity in bindings:
-        mode = state.register(cavity)
+        mode = state.register(cavity, "mode")
         gate = dispersive_blocks(phi, mode.dim)
         state = apply_op(state, gate, (atom, cavity), (path.name, slit))
     return state
@@ -318,7 +319,7 @@ def inject_coherent(state: CompositeState, cavity: str,
 
     Returns the displaced state and its weight at the Fock cutoff.
     """
-    mode = state.register(cavity)
+    mode = state.register(cavity, "mode")
     out = apply_op(state, displacement(beta, mode.dim), (cavity,))
     top = float(label_probabilities(out, cavity)[-1])
     if top > TAIL_MASS_LIMIT:
@@ -333,7 +334,7 @@ def jc_pass(state: CompositeState, probe: str, cavity: str, gt: float) -> Compos
     """Resonant probe-cavity interaction for a Rabi angle gt, in 2x2 blocks."""
     if state.register(probe).kind != "qubit2":
         raise RegisterError(f"jc pass needs a two-level probe, {probe} is not one")
-    mode = state.register(cavity)
+    mode = state.register(cavity, "mode")
     return apply_op(state, jc_blocks(gt, mode.dim), (probe, cavity))
 
 
@@ -443,7 +444,8 @@ class _Runner:
         elif isinstance(ins, Split):
             self.state = split_at_screen(self.state, ins.atom, ins.slits)
         elif isinstance(ins, CavityPass):
-            self.state = conditional_cavity_pass(self.state, ins.atom, ins.bindings, ins.phi)
+            self.state = conditional_cavity_pass(self._hand_over(), ins.atom, ins.bindings,
+                                                 ins.phi)
         elif isinstance(ins, Detect):
             self._detect(ins)
         elif isinstance(ins, Propagate):
@@ -460,6 +462,14 @@ class _Runner:
         if kind:
             for lane in self.lanes:
                 lane.records.append(StepRecord(ins.text or type(ins).__name__, kind))
+
+    def _hand_over(self) -> CompositeState:
+        """Give the state up to a step, so that it frees its input once it replaces it.
+
+        CPython 3.10 keeps a call's arguments alive in the caller, so there this frees nothing.
+        """
+        state, self.state = self.state, None
+        return state
 
     def _declare_atom(self, ins: DeclareAtom) -> None:
         if ins.kind not in ATOM_LEVELS:
@@ -487,10 +497,14 @@ class _Runner:
             reg, kind = self.state.register(path_name(ins.atom), "path"), "detect_position"
         else:
             reg = self.state.register(ins.atom)
-            kind = _KIND_BY_DETECT.get(reg.kind, "detect_internal")
+            if reg.kind not in _KIND_BY_DETECT:
+                raise RegisterError(f"register {reg.name} is {reg.kind}, not an atom")
+            kind = _KIND_BY_DETECT[reg.kind]
         label = ins.label
         if self.rng is not None:
-            weights = label_probabilities(self.state, reg.name)
+            # the squared norm each outcome's collapse would report
+            weights = np.array([label_branch(self.state, reg.name, item)[1]
+                                for item in reg.labels])
             total = weights.sum()
             if total < IMPOSSIBLE_OUTCOME_THRESHOLD:
                 raise ImpossibleOutcomeError(

@@ -344,8 +344,9 @@ def test_parameter_reference_message(capsys, argv, message):
     assert capsys.readouterr().err.splitlines()[-1] == message
 
 
-# `slitport paper`'s report at the default inputs and at --cb 0.6 --cc 0.8i,
-# recorded from the dense engine: every step's record and the run's totals
+# `slitport paper`'s report at the default inputs, at --cb 0.6 --cc 0.8i and
+# Born-sampled at seeds 1 and 7, recorded from the dense engine: every step's
+# record and the run's totals
 REFERENCE_RUNS = json.loads((ROOT / "tests" / "reference_runs.json").read_text(encoding="utf-8"))
 _RECORD = ("name", "kind", "outcome", "probability", "checkpoint_fidelity")
 

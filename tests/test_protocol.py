@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -35,6 +37,7 @@ from slitport.protocol import (
     ProtocolError,
     RunInputs,
     Split,
+    _Runner,
     canonical_json,
     conditional_cavity_pass,
     inject_coherent,
@@ -330,6 +333,16 @@ _PATH_TAKEN = [DeclareAtom("A1", "lambda3", "b"), DeclareAtom("A1_path", "qubit2
     ([DeclareCavity("C1", 1.0, 16), DeclareCavity("C2", 1.0, 16)] + _PATH_TAKEN
      + [CavityPass("A1", (("f", "C1"), ("e", "C2")), math.pi)],
      "register A1_path is qubit2, not path"),
+    # a cavity must be a mode register, and an internal detection an atom's
+    ([DeclareCavity("C1", 1.0, 16), Detect("C1", "internal", "0")],
+     "register C1 is mode, not an atom"),
+    ([DeclareCavity("C1", 1.0, 16), DeclareAtom("A", "lambda3", "b"),
+      DeclareAtom("P", "qubit2", "f"), Split("A", SLITS),
+      CavityPass("A", (("sl1", "C1"), ("sl2", "P")), math.pi)],
+     "register P is qubit2, not mode"),
+    ([DeclareAtom("P", "qubit2", "f"), DeclareAtom("Q", "qubit2", "f"), JcPass("P", "Q", 0.3)],
+     "register Q is qubit2, not mode"),
+    ([DeclareAtom("P", "qubit2", "f"), Inject("P", 0.001)], "register P is qubit2, not mode"),
 ])
 def test_runner_register_errors(instructions, message):
     with pytest.raises(ProtocolError) as err:
@@ -337,6 +350,29 @@ def test_runner_register_errors(instructions, message):
     assert isinstance(err.value.cause, RegisterError)
     assert str(err.value.cause) == message
     assert str(err.value) == f"step failed ({type(instructions[-1]).__name__}): {message}"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments alive until the call returns")
+def test_cavity_pass_frees_its_input_state():
+    # a pass peaks at two copies of its input plus a level slice; a runner
+    # that still held the input would read 3.2-3.3
+    run = reference_run()
+    runner = _Runner([run.inputs], sample=False, seed=None)
+    copies = []
+    tracemalloc.start()
+    try:
+        for ins in run.instructions:
+            size = runner.state.amplitudes.nbytes
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            runner.execute(ins)
+            if isinstance(ins, CavityPass):
+                # the input, plus the pass's traced peak above the level it started at
+                copies.append(1 + (tracemalloc.get_traced_memory()[1] - before) / size)
+    finally:
+        tracemalloc.stop()
+    assert len(copies) == 4 and max(copies) <= 2.5, copies
 
 
 # --- full runs ---
