@@ -1,4 +1,4 @@
-"""Dense state vectors over a tensor product of named registers.
+"""State vectors over a tensor product of named registers.
 
 A register is one degree of freedom: a path qudit labelled by slit or
 detector positions, an atom's internal levels (``ATOM_LEVELS``), or a
@@ -6,11 +6,14 @@ truncated field mode with Fock labels "0".."dim-1".
 
 Amplitudes are stored flat in row-major register order, so the last
 register varies fastest.  Every module in the package relies on this one
-layout convention.
+layout convention.  An axis may be held compressed (``compress``): its
+amplitudes are then the coordinates of a few orthonormal columns in the
+register's basis, and every read or gate on that register expands it first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +30,8 @@ REGISTER_KINDS = ("path", *ATOM_LEVELS, "mode", "basis")
 IMPOSSIBLE_OUTCOME_THRESHOLD = 1e-14
 
 UNITARITY_TOLERANCE = 1e-12
+# a compressed axis keeps the singular values above this fraction of its largest
+COMPRESSION_CUTOFF = 1e-13
 VECTOR_NORM_TOLERANCE = 1e-9
 
 
@@ -108,30 +113,51 @@ class CompositeState:
     every operation returns a new instance.  A state is normally unit
     norm; only a sub-unitary propagation kernel may leave it short of
     that, and the next measurement restores it.
+
+    ``bases`` holds one entry per register: None for an axis in the
+    register's own basis, or a read-only isometry Q (dim x k) for a
+    compressed axis, whose k amplitudes are coordinates on Q's columns.
+    ``amplitudes`` and ``tensor()`` are then the core; ``dense()`` is the
+    same state with every axis in its register's basis.
     """
 
     registers: tuple[Register, ...]
     amplitudes: np.ndarray
+    bases: tuple | None = None
 
     def __post_init__(self):
         names = [r.name for r in self.registers]
         if len(set(names)) != len(names):
             raise RegisterError(f"duplicate register name in {names}")
+        bases = tuple(self.bases) if self.bases is not None else (None,) * len(self.registers)
+        if len(bases) != len(self.registers):
+            raise RegisterError(f"{len(bases)} bases for {len(self.registers)} registers")
+        for reg, q in zip(self.registers, bases):
+            if q is None:
+                continue
+            if q.ndim != 2 or q.shape[0] != reg.dim:
+                raise RegisterError(f"register {reg.name}: basis shape {q.shape}, dim {reg.dim}")
+            q.setflags(write=False)
+        object.__setattr__(self, "bases", bases)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != self.dim:
+        size = math.prod(self.shape)
+        if amps.size != size:
             raise RegisterError(
-                f"amplitude vector has length {amps.size}, register product is {self.dim}"
+                f"amplitude vector has length {amps.size}, register product is {size}"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
+        """The size of the state in its registers' own bases."""
         return int(np.prod([r.dim for r in self.registers], dtype=object)) if self.registers else 1
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(r.dim for r in self.registers)
+        """The shape of ``tensor()``: k on a compressed axis, the register's dim elsewhere."""
+        return tuple(r.dim if q is None else q.shape[1]
+                     for r, q in zip(self.registers, self.bases))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -154,6 +180,9 @@ class CompositeState:
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.shape)
+
+    def dense(self) -> "CompositeState":
+        return expand(self, [r.name for r, q in zip(self.registers, self.bases) if q is not None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +275,43 @@ def basis_column(register: Register, value) -> np.ndarray:
     return column
 
 
+def compress(state: CompositeState, register: str) -> CompositeState:
+    """Hold one register's axis as an isometry Q and a core over Q's columns.
+
+    The SVD of the state matricized on that axis gives Q = U_r and the
+    core S_r V_r^H, keeping the r singular values above COMPRESSION_CUTOFF
+    times the largest.
+    """
+    state = expand(state, [register])
+    axis = state.axis(register)
+    tens = np.moveaxis(state.tensor(), axis, 0)
+    u, s, vh = np.linalg.svd(tens.reshape(tens.shape[0], -1), full_matrices=False)
+    rank = max(1, int(np.count_nonzero(s > COMPRESSION_CUTOFF * s[0])))
+    q = np.ascontiguousarray(u[:, :rank])
+    core = np.moveaxis((s[:rank, None] * vh[:rank]).reshape((rank,) + tens.shape[1:]), 0, axis)
+    bases = state.bases[:axis] + (q,) + state.bases[axis + 1:]
+    return CompositeState(state.registers, core.reshape(-1), bases)
+
+
+def expand(state: CompositeState, registers) -> CompositeState:
+    """The state with the named registers' axes back in their own bases.
+
+    Returns the state itself when none of them is compressed.
+    """
+    axes = [a for a in map(state.axis, registers) if state.bases[a] is not None]
+    if not axes:
+        return state
+    tens, bases = state.tensor(), list(state.bases)
+    for axis in axes:
+        q, lead = bases[axis], math.prod(tens.shape[:axis])
+        # Q times the core along the axis: one (dim x k)(k x rest) product per
+        # index of the axes before it
+        shape = tens.shape[:axis] + (q.shape[0],) + tens.shape[axis + 1:]
+        tens = np.matmul(q, tens.reshape(lead, q.shape[1], -1)).reshape(shape)
+        bases[axis] = None
+    return CompositeState(state.registers, tens.reshape(-1), tuple(bases))
+
+
 def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator, targets,
              control: tuple[str, str] | None = None) -> CompositeState:
     """Apply an operator on the named target registers, identity elsewhere.
@@ -254,13 +320,21 @@ def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator, targets,
     BlockOperator on (level, mode), applied block by block.  With
     ``control=(register name, label)`` it acts only on the slice where
     that register holds the label: the result of applying
-    ``embed_controlled`` of the operator, without building it.
+    ``embed_controlled`` of the operator, without building it.  Compressed
+    targets and control are expanded for the kernel and recompressed after.
     """
     if isinstance(op, BlockOperator) and len(targets) != 2:
         raise RegisterError(f"blocks target (level, mode), got {targets}")
     axes = [state.axis(name) for name in targets]
     if len(set(axes)) != len(axes):
         raise RegisterError(f"operator targets {targets} repeat a register")
+    named = list(targets) + ([control[0]] if control else [])
+    compressed = [name for name in named if state.bases[state.axis(name)] is not None]
+    if compressed:
+        out = apply_op(expand(state, compressed), op, targets, control)
+        for name in compressed:
+            out = compress(out, name)
+        return out
     tens = state.tensor()
     if control is None:
         out = np.empty_like(tens)
@@ -273,7 +347,7 @@ def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator, targets,
         where = (slice(None),) * c + (state.registers[c].index(label),)
         out = tens.copy()
         _contract(op, tens[where], out[where], [a - (a > c) for a in axes])
-    return CompositeState(state.registers, out.reshape(-1))
+    return CompositeState(state.registers, out.reshape(-1), state.bases)
 
 
 def _contract(op, src: np.ndarray, dst: np.ndarray, axes: list[int]) -> None:
@@ -330,7 +404,9 @@ def label_probabilities(state: CompositeState, register: str) -> np.ndarray:
 
     For a unit-norm state these are the Born probabilities; after a
     sub-unitary kernel they sum to the surviving flux instead of 1.
+    Other compressed axes need no expansion: their bases are isometries.
     """
+    state = expand(state, [register])
     axis = state.axis(register)
     tens = np.abs(state.tensor()) ** 2
     other = tuple(i for i in range(len(state.registers)) if i != axis)
@@ -354,11 +430,16 @@ def collapse(state: CompositeState, register: str, label: str) -> tuple[Composit
     branch /= np.sqrt(probability)
     axis = state.axis(register)
     remaining = state.registers[:axis] + state.registers[axis + 1:]
-    return CompositeState(remaining, branch), probability
+    bases = state.bases[:axis] + state.bases[axis + 1:]
+    return CompositeState(remaining, branch, bases), probability
 
 
 def label_branch(state: CompositeState, register: str, label: str) -> tuple[np.ndarray, float]:
-    """One label's slice of the state, as a fresh flat array, and its squared norm."""
+    """One label's slice of the state, as a fresh flat array, and its squared norm.
+
+    The slice is a core over the state's other axes, with their bases.
+    """
+    state = expand(state, [register])
     axis = state.axis(register)
     index = state.registers[axis].index(label)
     branch = np.take(state.tensor(), index, axis=axis).reshape(-1)
@@ -374,12 +455,13 @@ def project(state: CompositeState, register: str, label: str) -> tuple[Composite
     The tested reference for ``collapse``: its branch embedded into zeros
     at the label, so that ``drop_register`` of the result is ``collapse``.
     """
+    state = expand(state, [register])
     axis = state.axis(register)
     kept, probability = collapse(state, register, label)
     collapsed = np.zeros(state.shape, dtype=complex)
     index = (slice(None),) * axis + (state.registers[axis].index(label),)
     collapsed[index] = kept.tensor()
-    return CompositeState(state.registers, collapsed.reshape(-1)), probability
+    return CompositeState(state.registers, collapsed.reshape(-1), state.bases), probability
 
 
 def drop_register(state: CompositeState, register: str) -> CompositeState:
@@ -389,6 +471,7 @@ def drop_register(state: CompositeState, register: str) -> CompositeState:
     register then factors out as a pure basis ket, found by scanning the
     whole state, and carries no further information.
     """
+    state = expand(state, [register])
     axis = state.axis(register)
     tens = state.tensor()
     other = tuple(i for i in range(tens.ndim) if i != axis)
@@ -400,8 +483,9 @@ def drop_register(state: CompositeState, register: str) -> CompositeState:
             f"(support size {support.size})"
         )
     sliced = np.take(tens, int(support[0]), axis=axis)
-    remaining = tuple(r for i, r in enumerate(state.registers) if i != axis)
-    return CompositeState(remaining, sliced.reshape(-1))
+    remaining = state.registers[:axis] + state.registers[axis + 1:]
+    bases = state.bases[:axis] + state.bases[axis + 1:]
+    return CompositeState(remaining, sliced.reshape(-1), bases)
 
 
 def extend(state: CompositeState, register: Register, value) -> CompositeState:
@@ -417,7 +501,7 @@ def extend(state: CompositeState, register: Register, value) -> CompositeState:
     out = np.empty((state.amplitudes.size, register.dim), dtype=complex)
     for j, v in enumerate(vec):
         np.multiply(state.amplitudes, v, out=out[:, j])
-    return CompositeState(state.registers + (register,), out.reshape(-1))
+    return CompositeState(state.registers + (register,), out.reshape(-1), state.bases + (None,))
 
 
 def rebase_register(
@@ -428,6 +512,7 @@ def rebase_register(
     matrix[t, s] is the amplitude for source label s to land on target
     label t.  The register keeps its position in the ordering.
     """
+    state = expand(state, [register])
     axis = state.axis(register)
     old = state.registers[axis]
     m = np.asarray(matrix, dtype=complex)
@@ -441,7 +526,7 @@ def rebase_register(
     tens = np.moveaxis(tens, 0, axis)
     registers = list(state.registers)
     registers[axis] = new_register
-    return CompositeState(tuple(registers), tens.reshape(-1))
+    return CompositeState(tuple(registers), tens.reshape(-1), state.bases)
 
 
 def reorder(state: CompositeState, names) -> CompositeState:
@@ -451,7 +536,8 @@ def reorder(state: CompositeState, names) -> CompositeState:
         raise RegisterError(f"cannot reorder {state.names} as {names}")
     perm = [state.axis(n) for n in names]
     tens = state.tensor().transpose(perm)
-    return CompositeState(tuple(state.registers[i] for i in perm), tens.reshape(-1))
+    return CompositeState(tuple(state.registers[i] for i in perm), tens.reshape(-1),
+                          tuple(state.bases[i] for i in perm))
 
 
 def embed_controlled(control: Register, label: str, op: OperatorMatrix) -> OperatorMatrix:
@@ -475,6 +561,7 @@ def fidelity(a: CompositeState, b: CompositeState) -> float:
         raise RegisterError(
             f"fidelity needs identical register lists, got {a.names} vs {b.names}"
         )
+    a, b = a.dense(), b.dense()
     return min(1.0, float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2))
 
 
@@ -494,6 +581,8 @@ def reduced_fidelity(state: CompositeState, subset, target: CompositeState) -> f
             raise RegisterError(f"register {name}: basis labels differ between state and target")
     if abs(target.norm() - 1.0) > VECTOR_NORM_TOLERANCE:
         raise RegisterError("target state is not normalized")
+    # a compressed axis traced out needs nothing: its basis is an isometry
+    state = expand(state, subset)
     axes = [state.axis(n) for n in subset]
     rest = [i for i in range(len(state.registers)) if i not in axes]
     sub_dim = int(np.prod([state.registers[a].dim for a in axes], dtype=object))
@@ -511,7 +600,8 @@ def product_fidelity(state: CompositeState, registers, terms) -> float:
     named) against the normalized sum of the terms, but no vector of the
     state's size is built: a label indexes the state tensor, a vector is
     contracted with tensordot, and the target's norm comes from the Gram
-    matrix of the terms' per-register inner products.
+    matrix of the terms' per-register inner products.  On a compressed
+    axis with basis Q, a label or vector v contracts as Q^H v.
     """
     registers = tuple(registers)
     names = [r.name for r in registers]
@@ -548,8 +638,10 @@ def product_fidelity(state: CompositeState, registers, terms) -> float:
         index: list = [slice(None)] * tens.ndim
         vectors = []
         for reg, axis in zip(registers, axes):
-            value = parts[reg.name]
-            if isinstance(value, str):
+            value, q = parts[reg.name], state.bases[axis]
+            if q is not None:
+                vectors.append((axis, q.conj().T @ basis_column(reg, value)))
+            elif isinstance(value, str):
                 index[axis] = reg.index(value)
             else:
                 vectors.append((axis, basis_column(reg, value)))

@@ -167,6 +167,7 @@ def dispersive_blocks(phi: float, truncation: int) -> BlockOperator:
     return BlockOperator(m, (0, 0, 0))
 
 
+@lru_cache(maxsize=2)
 def displacement(beta: complex, truncation: int) -> OperatorMatrix:
     """Displacement exp(beta a† - beta* a) on the truncated space.
 

@@ -30,6 +30,7 @@ from .fockspace import (
     TruncationError,
     apply_op,
     collapse,
+    compress,
     drop_register,  # noqa: F401  (perfbench patches it by this module's name)
     embed_controlled,  # noqa: F401  (perfbench patches it by this module's name)
     extend,
@@ -416,7 +417,7 @@ class _Runner:
             return self.state
         columns = self.state.amplitudes.reshape(2, -1)
         amps = (lane.coeffs @ columns) / math.sqrt(lane.weight)
-        return CompositeState(self.state.registers[1:], amps)
+        return CompositeState(self.state.registers[1:], amps, self.state.bases[1:])
 
     def _lane_weights(self, tensor: np.ndarray) -> list[float]:
         """c^H G c for each lane, G the Gram matrix of tensor's basis columns."""
@@ -438,7 +439,8 @@ class _Runner:
             tail = coherent_tail_mass(ins.alpha, ins.truncation)
             for lane in self.lanes:
                 lane.tail_mass = max(lane.tail_mass, tail)
-            self.state = extend(self.state, Register.mode(ins.name, ins.truncation), vec)
+            self.state = compress(extend(self.state, Register.mode(ins.name, ins.truncation), vec),
+                                  ins.name)
         elif isinstance(ins, DeclareAtom):
             self._declare_atom(ins)
         elif isinstance(ins, Split):
@@ -490,7 +492,8 @@ class _Runner:
         halves = [extend(self.state, register, column).amplitudes
                   for column in ([0.0, 1.0, 0.0], [0.0, 0.0, -1.0])]
         self.state = CompositeState((_BASIS,) + self.state.registers + (register,),
-                                    np.concatenate(halves) / math.sqrt(2.0))
+                                    np.concatenate(halves) / math.sqrt(2.0),
+                                    (None,) + self.state.bases + (None,))
 
     def _detect(self, ins: Detect) -> None:
         if ins.which == "position":
@@ -532,7 +535,8 @@ class _Runner:
         self.state, top = inject_coherent(self.state, ins.cavity, ins.beta)
         tops = [top] * len(self.lanes)
         if self._has_basis():
-            edge = np.take(self.state.tensor(), -1, axis=self.state.axis(ins.cavity))
+            top_label = self.state.register(ins.cavity).labels[-1]
+            edge, _ = label_branch(self.state, ins.cavity, top_label)
             tops = [w / lane.weight for lane, w in zip(self.lanes, self._lane_weights(edge))]
             if max(tops) > TAIL_MASS_LIMIT:
                 raise TruncationError(f"injection into {ins.cavity} overflows the cutoff "

@@ -498,3 +498,11 @@ _QUTRIT = make_state([Register.lambda3("A")], {"A": "b"})
 ])
 def test_rarely_reached_check(call, expected):
     assert outcome(call) == expected
+
+
+def test_state_bases_are_checked():
+    level = Register.lambda3("A")
+    assert outcome(lambda: CompositeState((level,), np.ones(3), ())) == \
+        (RegisterError, "0 bases for 1 registers")
+    assert outcome(lambda: CompositeState((level,), np.ones(1), (np.ones((2, 1)),))) == \
+        (RegisterError, "register A: basis shape (2, 1), dim 3")

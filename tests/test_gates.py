@@ -10,7 +10,11 @@ from slitport.fockspace import (
     Register,
     TruncationError,
     apply_op,
+    compress,
     embed_controlled,
+    label_branch,
+    label_probabilities,
+    product_fidelity,
     unitarity_defect,
 )
 from slitport.gates import (
@@ -362,3 +366,72 @@ def test_blocks_match_dense_gates(phi, gt, dim, order, label, seed):
     # a dense operator takes the control slice too
     have = apply_op(state, jc_unitary(gt, dim), ("Q", "C"), ("P", label)).amplitudes
     assert np.max(np.abs(have - want)) < 1e-12
+
+
+# --- compressed modes against the dense state ---
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    phi=st.floats(-2 * math.pi, 2 * math.pi),
+    gt=st.floats(0.0, 3.0),
+    dim=st.integers(2, 24),
+    order=st.permutations(["P", "A", "Q", "C", "S"]).filter(_spread_order),
+    label=st.sampled_from(["s1", "s2", "s3"]),
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 3),
+    squeeze_path=st.booleans(),
+)
+def test_compressed_mode_matches_the_dense_state(phi, gt, dim, order, label, seed, rank,
+                                                 squeeze_path):
+    registers = {
+        "P": Register.path("P", ("s1", "s2", "s3")),
+        "A": Register.lambda3("A"),
+        "Q": Register.qubit2("Q"),
+        "C": Register.mode("C", dim),
+        "S": Register.path("S", ("u", "v")),
+    }
+    regs = (Register("input basis", "basis", ("b", "c")),) + tuple(registers[n] for n in order)
+    rng = np.random.default_rng(seed)
+    # a mode entangled with the rest through `rank` field vectors at most
+    axis = 1 + order.index("C")
+    shape = [r.dim for r in regs]
+    shape[axis] = rank
+    core = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    fields = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    tens = np.moveaxis(np.tensordot(fields, core, axes=([1], [axis])), 0, axis)
+    state = CompositeState(regs, tens / np.linalg.norm(tens))
+    squeezed = compress(state, "C")
+    assert squeezed.bases[axis].shape == (dim, min(rank, dim))
+    if squeeze_path:
+        squeezed = compress(squeezed, "P")
+
+    def close(have, want):
+        return np.max(np.abs(np.asarray(have) - np.asarray(want))) < 1e-12
+
+    assert close(squeezed.dense().amplitudes, state.amplitudes)
+    assert close(compress(squeezed, "C").dense().amplitudes, state.amplitudes)
+    calls = [(dispersive_blocks(phi, dim), ("A", "C"), None),
+             (dispersive_blocks(phi, dim), ("A", "C"), ("P", label)),
+             (jc_blocks(gt, dim), ("Q", "C"), ("P", label)),
+             (jc_unitary(gt, dim), ("Q", "C"), None),
+             (displacement(0.3 - 0.2j, dim), ("C",), None)]
+    for op, targets, control in calls:
+        have = apply_op(squeezed, op, targets, control)
+        assert [q is None for q in have.bases] == [q is None for q in squeezed.bases]
+        assert close(have.dense().amplitudes, apply_op(state, op, targets, control).amplitudes)
+
+    for name in ("C", "P", "A"):
+        assert close(label_probabilities(squeezed, name), label_probabilities(state, name))
+    top = str(dim - 1)
+    branch, weight = label_branch(squeezed, "C", top)
+    want, want_weight = label_branch(state, "C", top)
+    kept = CompositeState(regs[:axis] + regs[axis + 1:], branch,
+                          squeezed.bases[:axis] + squeezed.bases[axis + 1:])
+    assert close(kept.dense().amplitudes, want) and abs(weight - want_weight) < 1e-12
+
+    terms = [(0.6, {"C": rng.normal(size=dim) + 1j * rng.normal(size=dim), "P": label, "A": "b"}),
+             (0.8j, {"C": top, "P": [0.6, 0, 0.8], "A": "c"})]
+    targets = [registers[n] for n in ("C", "P", "A")]
+    assert abs(product_fidelity(squeezed, targets, terms)
+               - product_fidelity(state, targets, terms)) < 1e-12

@@ -125,12 +125,12 @@ def test_jc_excited_probability_needs_room():
 
 
 def _stage_states(params):
-    """(checkpoint name, live engine state) at each checkpoint of the reference run."""
+    """(checkpoint name, dense form, live engine state) at each checkpoint of the reference run."""
     run = resolve(parse(REFERENCE_SCRIPT), params)
     runner = protocol._Runner([run.inputs], sample=False, seed=None)
     for ins in run.instructions:
         if isinstance(ins, protocol.Checkpoint):
-            yield ins.name, runner.state
+            yield ins.name, runner.state.dense(), runner.state
         else:
             runner.execute(ins)
 
@@ -157,9 +157,11 @@ def test_contracted_checkpoint_fidelity_matches_dense(z, alpha, seed):
     }
     rng = np.random.default_rng(seed)
     seen = []
-    for name, state in _stage_states(params):
+    for name, state, compressed in _stage_states(params):
         seen.append(name)
         registers, terms = checkpoint_terms(name, **params)
+        assert product_fidelity(compressed, registers, terms) == pytest.approx(
+            product_fidelity(state, registers, terms), abs=1e-12)
         expected = expected_state(name, **params)
         noise = rng.normal(size=state.dim) + 1j * rng.normal(size=state.dim)
         off = state.amplitudes + noise / np.linalg.norm(noise)

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from test_acceptance import _fuzzed_script
 from test_fockspace import outcome
 
-from slitport import oracle
+from slitport import fockspace, oracle, protocol
 from slitport.fockspace import (
+    ATOM_LEVELS,
+    CompositeState,
     ImpossibleOutcomeError,
     Register,
     RegisterError,
     TruncationError,
     collapse,
+    compress,
     extend,
     fidelity,
     make_state,
@@ -42,6 +45,7 @@ from slitport.protocol import (
     conditional_cavity_pass,
     inject_coherent,
     jc_pass,
+    path_name,
     propagate,
     run_batch,
     run_protocol,
@@ -355,24 +359,26 @@ def test_runner_register_errors(instructions, message):
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="CPython 3.10 keeps a call's arguments alive until the call returns")
 def test_cavity_pass_frees_its_input_state():
-    # a pass peaks at two copies of its input plus a level slice; a runner
-    # that still held the input would read 3.2-3.3
+    # in units of the state's dense size: a dense pass peaks at two copies
+    # of its input plus a level slice, and a compressed one expands only the
+    # mode it touches, so its whole peak stays below one dense copy
     run = reference_run()
     runner = _Runner([run.inputs], sample=False, seed=None)
     copies = []
     tracemalloc.start()
     try:
         for ins in run.instructions:
-            size = runner.state.amplitudes.nbytes
+            held = runner.state.amplitudes.nbytes
+            size = math.prod(r.dim for r in runner.state.registers) * 16
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             runner.execute(ins)
             if isinstance(ins, CavityPass):
                 # the input, plus the pass's traced peak above the level it started at
-                copies.append(1 + (tracemalloc.get_traced_memory()[1] - before) / size)
+                copies.append((held + tracemalloc.get_traced_memory()[1] - before) / size)
     finally:
         tracemalloc.stop()
-    assert len(copies) == 4 and max(copies) <= 2.5, copies
+    assert len(copies) == 4 and max(copies) <= 1.0, copies
 
 
 # --- full runs ---
@@ -489,6 +495,59 @@ def test_probability_product_matches_unnormalized_evolution():
             mode = state.register(ins.cavity)
             state = apply_op(state, jc_unitary(ins.gt, mode.dim), (ins.atom, ins.cavity))
     assert state.norm() ** 2 == pytest.approx(report.cumulative_probability, abs=1e-10)
+
+
+def _dense_step(state, ins, inputs):
+    """One instruction on an uncompressed state, through the runner's step functions."""
+    if isinstance(ins, DeclareCavity):
+        return extend(state, Register.mode(ins.name, ins.truncation),
+                      coherent_amplitudes(ins.alpha, ins.truncation))
+    if isinstance(ins, DeclareAtom):
+        value = np.array([0, inputs.cb, -inputs.cc]) if ins.state == "input" else ins.state
+        return extend(state, Register(ins.name, ins.kind, ATOM_LEVELS[ins.kind]), value)
+    if isinstance(ins, Split):
+        return split_at_screen(state, ins.atom, ins.slits)
+    if isinstance(ins, CavityPass):
+        return conditional_cavity_pass(state, ins.atom, ins.bindings, ins.phi)
+    if isinstance(ins, Detect):
+        register = ins.atom if ins.which == "internal" else path_name(ins.atom)
+        return collapse(state, register, ins.label)[0]
+    if isinstance(ins, Propagate):
+        return propagate(state, ins.atom, ins.kernel)
+    if isinstance(ins, Inject):
+        return inject_coherent(state, ins.cavity, ins.beta)[0]
+    if isinstance(ins, JcPass):
+        return jc_pass(state, ins.atom, ins.cavity, ins.gt)
+    return state
+
+
+@pytest.mark.parametrize("params", [{}, {"cb": 0.6, "cc": 0.8j},
+                                    {"alpha": 5, "truncation": 201}])
+def test_compressed_state_matches_the_dense_engine_after_every_step(params, monkeypatch):
+    dropped = []
+
+    def recording(state, register):
+        # the squared distance a truncated SVD moves the state is the weight it drops
+        out = compress(state, register)
+        dropped.append(np.linalg.norm(state.dense().amplitudes - out.dense().amplitudes) ** 2)
+        return out
+
+    monkeypatch.setattr(fockspace, "compress", recording)
+    monkeypatch.setattr(protocol, "compress", recording)
+    run = reference_run(**params)
+    runner = _Runner([run.inputs], sample=False, seed=None)
+    dense = CompositeState((), np.ones(1, dtype=complex))
+    for ins in run.instructions:
+        runner.execute(ins)
+        dense = _dense_step(dense, ins, run.inputs)
+        assert all(q is None for q in dense.bases)
+        have = runner.state.dense()
+        assert have.registers == dense.registers, ins.text
+        assert np.max(np.abs(have.amplitudes - dense.amplitudes)) < 1e-12, ins.text
+        modes = [q for r, q in zip(runner.state.registers, runner.state.bases) if r.kind == "mode"]
+        assert all(q is not None and q.shape[1] <= 3 for q in modes), ins.text
+    assert len(dropped) == 14 and sum(dropped) <= 1e-24, dropped
+    _assert_batch_matches_single_runs(run, [run.inputs, RunInputs(**params | {"cb": R, "cc": -R})])
 
 
 def test_probe_detection_probabilities_in_unit_interval():
