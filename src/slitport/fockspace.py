@@ -403,7 +403,8 @@ def label_probabilities(state: CompositeState, register: str) -> np.ndarray:
     """Squared-norm weight of each basis label of one register.
 
     For a unit-norm state these are the Born probabilities; after a
-    sub-unitary kernel they sum to the surviving flux instead of 1.
+    sub-unitary kernel they sum to the surviving flux instead of 1.  The
+    tested reference for ``label_branch``'s squared norms, which a run reads.
     Other compressed axes need no expansion: their bases are isometries.
     """
     state = expand(state, [register])
@@ -443,10 +444,7 @@ def label_branch(state: CompositeState, register: str, label: str) -> tuple[np.n
     axis = state.axis(register)
     index = state.registers[axis].index(label)
     branch = np.take(state.tensor(), index, axis=axis).reshape(-1)
-    # squared in abs's own buffer: the bits of np.abs(branch) ** 2, one
-    # slice-sized temporary fewer
-    weights = np.abs(branch)
-    return branch, float(np.sum(np.square(weights, out=weights)))
+    return branch, float(np.sum(np.abs(branch) ** 2))
 
 
 def project(state: CompositeState, register: str, label: str) -> tuple[CompositeState, float]:
@@ -496,12 +494,9 @@ def extend(state: CompositeState, register: Register, value) -> CompositeState:
         raise RegisterError(
             f"register {register.name}: assignment vector is not normalized (norm {norm:.12f})"
         )
-    # the appended register varies fastest: column j of an (N, d) buffer is
-    # amplitudes * vec[j], which is np.kron(amplitudes, vec) bit for bit
-    out = np.empty((state.amplitudes.size, register.dim), dtype=complex)
-    for j, v in enumerate(vec):
-        np.multiply(state.amplitudes, v, out=out[:, j])
-    return CompositeState(state.registers + (register,), out.reshape(-1), state.bases + (None,))
+    # the appended register varies fastest
+    out = np.multiply.outer(state.amplitudes, vec).reshape(-1)
+    return CompositeState(state.registers + (register,), out, state.bases + (None,))
 
 
 def rebase_register(

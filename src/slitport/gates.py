@@ -156,7 +156,7 @@ def dispersive_lambda(phi: float, truncation: int) -> OperatorMatrix:
     return OperatorMatrix(m, unitary=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def dispersive_blocks(phi: float, truncation: int) -> BlockOperator:
     """dispersive_lambda as one 3x3 (a, b, c) block per photon number n."""
     phase = _phases(phi, truncation)
@@ -207,7 +207,7 @@ def jc_unitary(gt: float, truncation: int) -> OperatorMatrix:
     return OperatorMatrix(m, unitary=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def jc_blocks(gt: float, truncation: int) -> BlockOperator:
     """jc_unitary as 2x2 blocks pairing |f, k> with |e, k-1>, k = 0..truncation.
 

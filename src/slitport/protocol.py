@@ -36,7 +36,7 @@ from .fockspace import (
     extend,
     fidelity,  # noqa: F401  (perfbench patches it by this module's name)
     label_branch,
-    label_probabilities,
+    label_probabilities,  # noqa: F401  (perfbench patches it by this module's name)
     product_fidelity,
     project,  # noqa: F401  (perfbench patches it by this module's name)
     rebase_register,
@@ -322,7 +322,7 @@ def inject_coherent(state: CompositeState, cavity: str,
     """
     mode = state.register(cavity, "mode")
     out = apply_op(state, displacement(beta, mode.dim), (cavity,))
-    top = float(label_probabilities(out, cavity)[-1])
+    _, top = label_branch(out, cavity, mode.labels[-1])
     if top > TAIL_MASS_LIMIT:
         raise TruncationError(
             f"injection into {cavity} leaves {top:.3e} probability at the Fock cutoff; "
@@ -446,8 +446,7 @@ class _Runner:
         elif isinstance(ins, Split):
             self.state = split_at_screen(self.state, ins.atom, ins.slits)
         elif isinstance(ins, CavityPass):
-            self.state = conditional_cavity_pass(self._hand_over(), ins.atom, ins.bindings,
-                                                 ins.phi)
+            self.state = conditional_cavity_pass(self.state, ins.atom, ins.bindings, ins.phi)
         elif isinstance(ins, Detect):
             self._detect(ins)
         elif isinstance(ins, Propagate):
@@ -464,14 +463,6 @@ class _Runner:
         if kind:
             for lane in self.lanes:
                 lane.records.append(StepRecord(ins.text or type(ins).__name__, kind))
-
-    def _hand_over(self) -> CompositeState:
-        """Give the state up to a step, so that it frees its input once it replaces it.
-
-        CPython 3.10 keeps a call's arguments alive in the caller, so there this frees nothing.
-        """
-        state, self.state = self.state, None
-        return state
 
     def _declare_atom(self, ins: DeclareAtom) -> None:
         if ins.kind not in ATOM_LEVELS:

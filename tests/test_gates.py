@@ -313,6 +313,14 @@ def test_jc_excited_probability_against_sum():
     assert p_excited >= 0.9
 
 
+@pytest.mark.parametrize("build", [dispersive_blocks, jc_blocks])
+def test_block_gate_cache_is_bounded(build):
+    for angle in np.linspace(0.1, 3.0, 40):
+        build(float(angle), 16)
+    info = build.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize, info
+
+
 # --- photon-number blocks against the dense gates ---
 
 
