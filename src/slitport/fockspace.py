@@ -275,19 +275,25 @@ def basis_column(register: Register, value) -> np.ndarray:
     return column
 
 
-def compress(state: CompositeState, register: str) -> CompositeState:
+def compress(state: CompositeState, register: str,
+             span: np.ndarray | None = None) -> CompositeState:
     """Hold one register's axis as an isometry Q and a core over Q's columns.
 
     The SVD of the state matricized on that axis gives Q = U_r and the
     core S_r V_r^H, keeping the r singular values above COMPRESSION_CUTOFF
-    times the largest.
+    times the largest.  Given ``span``, columns whose span holds the axis's
+    support, the SVD runs on the state's coordinates in an orthonormal
+    frame F of them (m x rest, the same singular values) and Q is F U_r.
     """
     state = expand(state, [register])
     axis = state.axis(register)
     tens = np.moveaxis(state.tensor(), axis, 0)
-    u, s, vh = np.linalg.svd(tens.reshape(tens.shape[0], -1), full_matrices=False)
+    matrix = tens.reshape(tens.shape[0], -1)
+    frame = None if span is None else np.linalg.qr(span)[0]
+    u, s, vh = np.linalg.svd(matrix if frame is None else frame.conj().T @ matrix,
+                             full_matrices=False)
     rank = max(1, int(np.count_nonzero(s > COMPRESSION_CUTOFF * s[0])))
-    q = np.ascontiguousarray(u[:, :rank])
+    q = np.ascontiguousarray(u[:, :rank] if frame is None else frame @ u[:, :rank])
     core = np.moveaxis((s[:rank, None] * vh[:rank]).reshape((rank,) + tens.shape[1:]), 0, axis)
     bases = state.bases[:axis] + (q,) + state.bases[axis + 1:]
     return CompositeState(state.registers, core.reshape(-1), bases)
@@ -321,7 +327,8 @@ def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator, targets,
     ``control=(register name, label)`` it acts only on the slice where
     that register holds the label: the result of applying
     ``embed_controlled`` of the operator, without building it.  Compressed
-    targets and control are expanded for the kernel and recompressed after.
+    targets and control are expanded for the kernel and recompressed after,
+    a lone compressed target from the gate's image of its basis (``_image``).
     """
     if isinstance(op, BlockOperator) and len(targets) != 2:
         raise RegisterError(f"blocks target (level, mode), got {targets}")
@@ -332,6 +339,9 @@ def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator, targets,
     compressed = [name for name in named if state.bases[state.axis(name)] is not None]
     if compressed:
         out = apply_op(expand(state, compressed), op, targets, control)
+        if len(compressed) == 1 and compressed[0] in targets:
+            pos = list(targets).index(compressed[0])
+            return compress(out, compressed[0], _image(op, state, axes, pos, control))
         for name in compressed:
             out = compress(out, name)
         return out
@@ -348,6 +358,32 @@ def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator, targets,
         out = tens.copy()
         _contract(op, tens[where], out[where], [a - (a > c) for a in axes])
     return CompositeState(state.registers, out.reshape(-1), state.bases)
+
+
+def _image(op, state: CompositeState, axes: list[int], pos: int, control) -> np.ndarray | None:
+    """Columns spanning the support of compressed target axes[pos] after op, or None.
+
+    op on I_other ⊗ Q gives G_ij Q for each block between labels j and i of
+    the other targets (d labels), less the zero columns of vanishing blocks; a
+    control adds Q, which op leaves on the other slices.  A QR and an SVD as
+    wide as these m <= (d² + 1)k columns replace one SVD of the state's
+    smaller side: None unless twice the bound is below it, or if none is left.
+    """
+    q = state.bases[axes[pos]]
+    dim, k = q.shape
+    other = [state.registers[a].dim for a in axes[:pos] + axes[pos + 1:]]
+    size = math.prod(other)
+    if 2 * (size * size + (control is not None)) * k >= min(dim, state.amplitudes.size // k):
+        return None
+    src = np.multiply.outer(np.eye(size).reshape(other + [size]), q)
+    src_axes = list(range(len(other)))
+    src_axes.insert(pos, len(other) + 1)
+    dst = np.empty_like(src)
+    _contract(op, src, dst, src_axes)
+    columns = dst.reshape(size * size, dim, k).transpose(1, 0, 2).reshape(dim, -1)
+    columns = columns[:, columns.any(axis=0)]
+    columns = np.hstack([columns, q]) if control else columns
+    return columns if columns.size else None
 
 
 def _contract(op, src: np.ndarray, dst: np.ndarray, axes: list[int]) -> None:

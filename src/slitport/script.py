@@ -515,7 +515,10 @@ class _Validator:
 
     def _cmd_inject(self, cmd: Command) -> protocol.Inject:
         cavity, beta_arg = cmd.args
-        self._declared(self.cavities, "cavity", cavity)
+        truncation = self._declared(self.cavities, "cavity", cavity).truncation
+        if truncation ** 2 > AMPLITUDE_BUDGET:  # the run builds a T x T displacement
+            raise ValueError(f"inject {cavity}: the displacement would hold {truncation ** 2} "
+                             f"amplitudes, above the budget of {AMPLITUDE_BUDGET}")
         return protocol.Inject(cavity, _resolve(beta_arg, self.inputs, f"inject {cavity}", "NUM"))
 
     def _cmd_jcpass(self, cmd: Command) -> protocol.JcPass:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slitport.fockspace import (
@@ -379,6 +379,18 @@ def test_blocks_match_dense_gates(phi, gt, dim, order, label, seed):
 # --- compressed modes against the dense state ---
 
 
+def test_a_gate_that_annihilates_a_compressed_mode_leaves_the_zero_state():
+    # the odd selector kills an even field: no column of its image of the
+    # basis survives, so the recompression takes the plain SVD of zero
+    dim = 16
+    field = np.zeros(dim)
+    field[[0, 2]] = math.sqrt(0.5)
+    regs = (Register.mode("C", dim), Register.path("P", [f"p{i}" for i in range(8)]))
+    state = CompositeState(regs, np.kron(field, np.full(8, math.sqrt(1 / 8))))
+    out = apply_op(compress(state, "C"), pi_projector(-1, dim), ("C",))
+    assert out.bases[0].shape == (dim, 1) and not out.dense().amplitudes.any()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     phi=st.floats(-2 * math.pi, 2 * math.pi),
@@ -390,6 +402,11 @@ def test_blocks_match_dense_gates(phi, gt, dim, order, label, seed):
     rank=st.integers(1, 3),
     squeeze_path=st.booleans(),
 )
+# modes wide enough that every gate recompresses from its image of the basis
+@example(phi=2.0, gt=0.7, dim=24, order=["A", "P", "C", "S", "Q"], label="s2", seed=5, rank=1,
+         squeeze_path=False)
+@example(phi=-1.1, gt=1.3, dim=48, order=["C", "S", "A", "P", "Q"], label="s3", seed=9, rank=2,
+         squeeze_path=False)
 def test_compressed_mode_matches_the_dense_state(phi, gt, dim, order, label, seed, rank,
                                                  squeeze_path):
     registers = {
@@ -423,11 +440,19 @@ def test_compressed_mode_matches_the_dense_state(phi, gt, dim, order, label, see
              (dispersive_blocks(phi, dim), ("A", "C"), ("P", label)),
              (jc_blocks(gt, dim), ("Q", "C"), ("P", label)),
              (jc_unitary(gt, dim), ("Q", "C"), None),
-             (displacement(0.3 - 0.2j, dim), ("C",), None)]
+             (displacement(0.3 - 0.2j, dim), ("C",), None),
+             # not unitary: its image of the basis is no isometry
+             (pi_projector(-1, dim), ("C",), None)]
     for op, targets, control in calls:
         have = apply_op(squeezed, op, targets, control)
+        want = apply_op(state, op, targets, control)
         assert [q is None for q in have.bases] == [q is None for q in squeezed.bases]
-        assert close(have.dense().amplitudes, apply_op(state, op, targets, control).amplitudes)
+        assert close(have.dense().amplitudes, want.amplitudes)
+        # each recompressed basis is an isometry as wide as compress of the dense result
+        for i, q in enumerate(have.bases):
+            if q is not None:
+                assert close(q.conj().T @ q, np.eye(q.shape[1]))
+                assert q.shape[1] == compress(want, regs[i].name).bases[i].shape[1]
 
     for name in ("C", "P", "A"):
         assert close(label_probabilities(squeezed, name), label_probabilities(state, name))

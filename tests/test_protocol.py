@@ -541,9 +541,9 @@ def _dense_step(state, ins, inputs):
 def test_compressed_state_matches_the_dense_engine_after_every_step(params, monkeypatch):
     dropped = []
 
-    def recording(state, register):
+    def recording(state, register, span=None):
         # the squared distance a truncated SVD moves the state is the weight it drops
-        out = compress(state, register)
+        out = compress(state, register, span)
         dropped.append(np.linalg.norm(state.dense().amplitudes - out.dense().amplitudes) ** 2)
         return out
 
@@ -563,6 +563,55 @@ def test_compressed_state_matches_the_dense_engine_after_every_step(params, monk
         assert all(q is not None and q.shape[1] <= 3 for q in modes), ins.text
     assert len(dropped) == 14 and sum(dropped) <= 1e-24, dropped
     _assert_batch_matches_single_runs(run, [run.inputs, RunInputs(**params | {"cb": R, "cc": -R})])
+
+
+def test_generic_phi_grows_modes_past_three_columns(monkeypatch):
+    # away from phi = pi the fields are no cats of +-alpha: both modes reach
+    # k = 8, and gates recompress them from the image of the basis where it is
+    # narrow and by the plain SVD of the state where it is not
+    from_image = []
+
+    def recording(state, register, span=None):
+        from_image.append(span is not None)
+        return compress(state, register, span)
+
+    monkeypatch.setattr(fockspace, "compress", recording)
+    monkeypatch.setattr(protocol, "compress", recording)
+    run = resolve(parse(REFERENCE_SCRIPT.replace("phi pi", "phi 3.1")), {"cb": 0.6, "cc": 0.8j})
+    runner = _Runner([run.inputs], sample=False, seed=None)
+    dense = CompositeState((), np.ones(1, dtype=complex))
+    ranks = []
+    for ins in run.instructions:
+        runner.execute(ins)
+        dense = _dense_step(dense, ins, run.inputs)
+        have = runner.state.dense()
+        assert have.registers == dense.registers, ins.text
+        assert np.max(np.abs(have.amplitudes - dense.amplitudes)) < 1e-12, ins.text
+        ranks += [q.shape[1] for q in runner.state.bases if q is not None]
+    assert max(ranks) > 3, ranks
+    # the first two are the declarations
+    assert True in from_image and False in from_image[2:], from_image
+    _assert_batch_matches_single_runs(run, [run.inputs, RunInputs(cb=R, cc=-R)])
+
+
+@pytest.mark.parametrize("params", [{}, {"alpha": 5, "truncation": 201}])
+def test_gate_recompressions_factor_narrow_matrices(params, monkeypatch):
+    # a recompression after a gate factors the state's coordinates on the
+    # gate's image of the old basis, or the state itself where that is narrow:
+    # never a T x rest matrix with both sides large (64 x 96 before)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    run = reference_run(**params)
+    inputs = [RunInputs(**params | {"cb": cb, "cc": math.sqrt(1 - cb * cb)})
+              for cb in (-0.3, 0.5, 0.9)]
+    assert not any(isinstance(report, ProtocolError) for report in run_batch(run.instructions, inputs))
+    assert len(shapes) == 14 and max(min(shape) for shape in shapes) <= 30, shapes
 
 
 def test_probe_detection_probabilities_in_unit_interval():

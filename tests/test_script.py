@@ -720,6 +720,13 @@ _OVER_BUDGET = "above the budget of 67108864"
     ("cavity C1 alpha 1 truncation 8192\ncavity C2 alpha 1 truncation 8192\n"
      "atom A qubit2 state f\natom B lambda3 state q",
      [(3, f"the state would hold 134217728 amplitudes, {_OVER_BUDGET}")]),
+    # an injection builds a T x T displacement, which the budget counts too;
+    # checking goes on after it, so an unknown checkpoint still reports
+    ("cavity C1 alpha 1 truncation 20000\ninject C1 1\ncheckpoint NOPE",
+     [(2, f"inject C1: the displacement would hold 400000000 amplitudes, {_OVER_BUDGET}"),
+      (3, "unknown checkpoint 'NOPE'")]),
+    ("cavity C1 alpha 1 truncation 8192\ninject C1 1\ncheckpoint NOPE",
+     [(3, "unknown checkpoint 'NOPE'")]),
     # one error per command, however many checks it fails, and every error in
     # line order: the tail bound of line 1 is checked after the last command
     ("cavity C1 alpha 2 truncation 16\ninject C1 2\njcpass A C9 gt pi/8\n"
