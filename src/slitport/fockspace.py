@@ -600,7 +600,7 @@ def reduced_fidelity(state: CompositeState, subset, target: CompositeState) -> f
     """Overlap <target|rho|target> of the reduced state on a register subset.
 
     Equals the probability of finding the subset in the target pure state,
-    tracing everything else out.
+    tracing everything else out.  The tested reference for product_fidelity.
     """
     subset = tuple(subset)
     if not subset:
@@ -622,17 +622,17 @@ def reduced_fidelity(state: CompositeState, subset, target: CompositeState) -> f
     return min(1.0, float(np.sum(np.abs(overlaps) ** 2)))
 
 
-def product_fidelity(state: CompositeState, registers, terms) -> float:
-    """<t|rho|t> / <t|t> for a target t given as a sum of product terms.
+def product_fidelity(state: CompositeState, registers, coeffs, factors, gram=None) -> float:
+    """<t|rho|t> / <t|t> for t = sum_i coeffs[i] ⊗_r factors[r][i] over ``registers``.
 
-    ``terms`` holds ``(coeff, {register name: label or vector})`` pairs
-    over ``registers``, and rho is the state reduced to those registers.
-    This is reduced_fidelity (fidelity, when every live register is
-    named) against the normalized sum of the terms, but no vector of the
-    state's size is built: a label indexes the state tensor, a vector is
-    contracted with tensordot, and the target's norm comes from the Gram
-    matrix of the terms' per-register inner products.  On a compressed
-    axis with basis Q, a label or vector v contracts as Q^H v.
+    ``factors`` holds one m x dim matrix per register: row i is term i's
+    basis column or vector there, unnormalized if need be.  rho is the
+    state reduced to those registers.  This is reduced_fidelity against
+    the normalized t, with no vector of the state's size: the state meets
+    the first factor, then each further one in a product batched over the
+    m terms (a Khatri-Rao contraction), F̄ becoming F̄ Q on an axis held
+    with basis Q.  ``gram``, the elementwise product of the factors' F̄ Fᵀ,
+    gives <t|t>; it is computed when not given.
     """
     registers = tuple(registers)
     names = [r.name for r in registers]
@@ -647,40 +647,24 @@ def product_fidelity(state: CompositeState, registers, terms) -> float:
     for reg, axis in zip(registers, axes):
         if state.registers[axis].labels != reg.labels:
             raise RegisterError(f"register {reg.name}: basis labels differ between state and target")
-    terms = [(complex(coeff), parts) for coeff, parts in terms if coeff != 0]
-    for _, parts in terms:
-        if set(parts) != set(names):
-            raise RegisterError(f"term assigns {sorted(parts)}, target registers are {sorted(names)}")
+    coeffs = np.asarray(coeffs, dtype=complex)
+    shapes = [f.shape for f in factors]
+    if shapes != [(coeffs.size, reg.dim) for reg in registers]:
+        raise RegisterError(f"factor shapes {shapes} do not fit {coeffs.size} terms over {names}")
 
-    coeffs = np.array([coeff for coeff, _ in terms], dtype=complex)
-    gram = np.ones((len(terms), len(terms)), dtype=complex)
-    for reg in registers:
-        columns = np.array([basis_column(reg, parts[reg.name]) for _, parts in terms])
-        gram *= columns.conj() @ columns.T
-    norm2 = float(np.real(coeffs.conj() @ gram @ coeffs))
+    if gram is None:
+        gram = math.prod(f.conj() @ f.T for f in factors)
+    norm2 = np.vdot(coeffs, gram @ coeffs).real
     # below one rounding unit of the terms' own weight the sum has cancelled
-    scale = float(np.real(np.abs(coeffs) ** 2 @ np.diag(gram)))
-    if norm2 <= np.finfo(float).eps * scale:
+    if norm2 <= np.finfo(float).eps * np.dot(np.abs(coeffs) ** 2, gram.diagonal().real):
         raise RegisterError("target state is the zero vector")
 
-    tens = state.tensor()
-    overlap = 0.0
-    for coeff, parts in terms:
-        index: list = [slice(None)] * tens.ndim
-        vectors = []
-        for reg, axis in zip(registers, axes):
-            value, q = parts[reg.name], state.bases[axis]
-            if q is not None:
-                vectors.append((axis, q.conj().T @ basis_column(reg, value)))
-            elif isinstance(value, str):
-                index[axis] = reg.index(value)
-            else:
-                vectors.append((axis, basis_column(reg, value)))
-        part = tens[tuple(index)]
-        # integer indices drop their axes; contracting from the last axis
-        # back keeps the earlier positions valid
-        for axis, column in sorted(vectors, key=lambda v: v[0], reverse=True):
-            pos = axis - sum(isinstance(i, int) for i in index[:axis])
-            part = np.tensordot(column.conj(), part, axes=([0], [pos]))
-        overlap = overlap + coeff.conjugate() * part
-    return min(1.0, float(np.sum(np.abs(overlap) ** 2)) / norm2)
+    rest = [i for i in range(len(state.registers)) if i not in axes]
+    tens = state.tensor().transpose(axes + rest)
+    first, *others = [f.conj() if state.bases[a] is None else f.conj() @ state.bases[a]
+                      for f, a in zip(factors, axes)]
+    part = first @ tens.reshape(first.shape[1], -1)
+    for row in others:
+        part = np.einsum("md,mdr->mr", row, part.reshape(coeffs.size, row.shape[1], -1))
+    overlap = coeffs.conj() @ part
+    return min(1.0, float(np.vdot(overlap, overlap).real / norm2))

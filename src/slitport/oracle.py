@@ -12,7 +12,7 @@ the first screen, lambda atoms A1..A4, probe atoms A51/A52.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -48,22 +48,6 @@ CHECKPOINTS = tuple(CHECKPOINT_REGISTERS)
 SLITS = ("sl1", "sl2")
 
 
-def _assemble(registers, terms) -> CompositeState:
-    """Sum of product terms (coeff, {register: label or vector}), normalized."""
-    total = np.zeros(int(np.prod([r.dim for r in registers])), dtype=complex)
-    for coeff, parts in terms:
-        if coeff == 0:
-            continue
-        vec = np.ones(1, dtype=complex)
-        for reg in registers:
-            vec = np.kron(vec, basis_column(reg, parts[reg.name]))
-        total += coeff * vec
-    norm = np.linalg.norm(total)
-    if norm == 0:
-        raise ValueError("assembled state is the zero vector")
-    return CompositeState(registers, total / norm)
-
-
 class _Parts:
     """Shared ingredients for one (alpha, truncation, gt) parameter set.
 
@@ -95,6 +79,8 @@ class _Parts:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+        # name -> _factorize of a checkpoint, at its first use (threads racing store equal values)
+        self.checkpoints = {}
 
 
 _parts = lru_cache(maxsize=16)(_Parts)
@@ -113,21 +99,52 @@ def checkpoint_registers(checkpoint: str, truncation: int) -> tuple[Register, ..
 def expected_state(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float) -> CompositeState:
     """The reference-scenario state at one named checkpoint, normalized.
 
-    This is the dense form of checkpoint_terms, assembled with np.kron.
+    This is the dense form of checkpoint_terms: each term's factor rows
+    assembled with np.kron.
     """
-    return _assemble(*checkpoint_terms(
-        checkpoint, cb=cb, cc=cc, alpha=alpha, truncation=truncation, gt=gt
-    ))
+    registers, coeffs, factors, _ = checkpoint_terms(checkpoint, cb=cb, cc=cc, alpha=alpha,
+                                                     truncation=truncation, gt=gt)
+    total = sum(coeff * reduce(np.kron, rows) for coeff, *rows in zip(coeffs, *factors))
+    norm = np.linalg.norm(total)
+    if norm == 0:
+        raise ValueError("assembled state is the zero vector")
+    return CompositeState(registers, total / norm)
 
 
 def checkpoint_terms(checkpoint: str, *, cb, cc, alpha, truncation: int, gt: float):
-    """The closed form at one checkpoint as ``(registers, terms)``, unnormalized.
+    """The closed form at one checkpoint as ``(registers, coeffs, factors, gram)``.
 
-    Each term is ``(coeff, {register name: label or vector})``; the state
-    is the normalized sum of the terms' tensor products.
+    The state is the normalized sum over terms i of coeffs[i] times the
+    tensor product of row i of each register's factor matrix (m x dim, in
+    register order); gram is the elementwise product of the factors' Gram
+    matrices, which gives the sum's norm.  Only the coefficients depend on
+    (cb, cc), so the rest is built once per checkpoint and kept with the
+    cached parts of its (alpha, truncation, gt).
+    """
+    parts = _parts(alpha, truncation, gt)
+    if checkpoint not in parts.checkpoints:
+        parts.checkpoints[checkpoint] = _factorize(checkpoint, truncation, parts)
+    registers, affine, factors, gram = parts.checkpoints[checkpoint]
+    return registers, np.array([1.0, cb, cc]) @ affine, factors, gram
+
+
+def _factorize(checkpoint: str, truncation: int, p: _Parts) -> tuple:
+    """A checkpoint's registers, coefficient map, factor matrices and Gram product.
+
+    Every coefficient is affine in (cb, cc): row 0 of the map is its value
+    at (0, 0), and rows 1 and 2 what a unit cb and a unit cc add.  The
+    labels and vectors of the terms do not depend on them.
     """
     registers = checkpoint_registers(checkpoint, truncation)
-    return registers, _terms(checkpoint, cb, cc, _parts(alpha, truncation, gt))
+    runs = [_terms(checkpoint, cb, cc, p) for cb, cc in ((0, 0), (1, 0), (0, 1))]
+    affine = np.array([[coeff for coeff, _ in terms] for terms in runs], dtype=complex)
+    affine[1:] -= affine[0]
+    factors = tuple(np.array([basis_column(reg, parts[reg.name]) for _, parts in runs[0]])
+                    for reg in registers)
+    gram = math.prod(f.conj() @ f.T for f in factors)
+    for array in (affine, gram, *factors):
+        array.setflags(write=False)
+    return registers, affine, factors, gram
 
 
 def _terms(checkpoint: str, cb, cc, p: _Parts) -> list:

@@ -40,7 +40,7 @@ from .fockspace import (
     product_fidelity,
     project,  # noqa: F401  (perfbench patches it by this module's name)
     rebase_register,
-    reduced_fidelity,
+    reduced_fidelity,  # noqa: F401  (perfbench patches it by this module's name)
     reorder,  # noqa: F401  (perfbench patches it by this module's name)
 )
 from .gates import (
@@ -429,9 +429,8 @@ class _Runner:
         paths = [r for r in self.state.registers if r.kind == "path" and r.dim == 2]
         if len(paths) != 1:
             return None
-        reg = paths[0]
-        target = CompositeState((reg,), np.array([lane.inputs.cb, lane.inputs.cc]))
-        return reduced_fidelity(self._view(lane), (reg.name,), target)
+        factor = np.array([[lane.inputs.cb, lane.inputs.cc]])
+        return product_fidelity(self._view(lane), paths, np.ones(1), (factor,))
 
     def execute(self, ins) -> None:
         if isinstance(ins, DeclareCavity):
@@ -538,8 +537,8 @@ class _Runner:
 
     def _checkpoint(self, ins: Checkpoint) -> None:
         for lane in self.lanes:
-            registers, terms = oracle.checkpoint_terms(ins.name, **asdict(lane.inputs))
-            value = product_fidelity(self._view(lane), registers, terms)
+            terms = oracle.checkpoint_terms(ins.name, **vars(lane.inputs))
+            value = product_fidelity(self._view(lane), *terms)
             lane.records.append(StepRecord(ins.text or type(ins).__name__, "checkpoint",
                                            outcome=ins.name, checkpoint_fidelity=value))
 

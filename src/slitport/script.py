@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from . import protocol
 from .fockspace import ATOM_LEVELS, Register
@@ -545,7 +545,7 @@ class _Validator:
         if not self.terms_built:  # every later checkpoint shares the parts this one builds
             self.terms_built = True
             try:
-                checkpoint_terms(name, **asdict(self.inputs))
+                checkpoint_terms(name, **vars(self.inputs))
             except ValueError as exc:
                 raise ValueError(f"checkpoint {name}: {exc}") from None
         return protocol.Checkpoint(name)

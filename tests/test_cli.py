@@ -377,6 +377,28 @@ def test_reference_run_numbers_are_pinned(tmp_path, case):
         _assert_matches(report[key], case[key], key)
 
 
+@pytest.mark.parametrize("flags", [["--cb", "1", "--cc", "0"], ["--cb", "0", "--cc", "1"]],
+                         ids=" ".join)
+def test_basis_inputs_score_every_checkpoint(tmp_path, flags):
+    # half of the terms of each checkpoint after the input carry coefficient 0
+    out = tmp_path / "report.json"
+    assert main(["paper", *flags, "--json", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    scores = [step["checkpoint_fidelity"] for step in report["steps"]
+              if step["kind"] == "checkpoint"]
+    assert len(scores) == 17 and min(scores + [report["final_fidelity"]]) >= 1 - 1e-9
+    # every value the reference runs pin alike at both of their inputs
+    default, other = REFERENCE_RUNS[:2]
+    records = [[step[key] for key in _RECORD] for step in report["steps"]]
+    assert len(records) == len(default["steps"])
+    for index, (record, want, also) in enumerate(zip(records, default["steps"], other["steps"])):
+        for key, got, a, b in zip(_RECORD, record, want, also):
+            if a == b or (isinstance(a, (int, float)) and abs(a - b) <= 1e-12):
+                _assert_matches(got, a, f"steps[{index}].{key}")
+    for key in ("cumulative_probability", "final_fidelity"):
+        _assert_matches(report[key], default[key], key)
+
+
 def test_script_rejects_non_finite_literal(capsys, tmp_path):
     script = tmp_path / "inf.qprot"
     script.write_text(SCENARIO.read_text().replace("config alpha 2", "config alpha inf"))

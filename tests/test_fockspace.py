@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ def test_product_fidelity_missing_register():
     state = make_state([Register.lambda3("A1")], {"A1": "a"})
     regs = (Register.lambda3("A1"), Register.lambda3("A2"))
     with pytest.raises(RegisterError, match=r"expects registers \['A2'\] that are not live"):
-        product_fidelity(state, regs, [(1.0, {"A1": "a", "A2": "a"})])
+        product_fidelity(state, regs, [1.0], (np.eye(3)[:1], np.eye(3)[:1]))
 
 
 def test_product_fidelity_labels_differ():
@@ -292,19 +293,31 @@ def test_product_fidelity_labels_differ():
     state = make_state(regs, {"p": "u", "A1": "c"})
     other = Register.path("p", ("x", "y"))
     with pytest.raises(RegisterError, match="labels differ"):
-        product_fidelity(state, (other,), [(1.0, {"p": "x"})])
+        product_fidelity(state, (other,), [1.0], (np.eye(2)[:1],))
+
+
+def test_product_fidelity_factor_shapes_must_fit():
+    regs = (Register.path("p", ("u", "v")), Register.lambda3("A1"))
+    state = make_state(regs, {"p": "u", "A1": "c"})
+    for coeffs, factors in (([1.0], (np.eye(2)[:1],)),  # a register without a factor
+                            ([1.0], (np.eye(2)[:1], np.eye(2)[:1])),  # a row of the wrong length
+                            ([1.0, 1.0], (np.eye(2), np.eye(3)[:1]))):  # a factor short of a row
+        with pytest.raises(RegisterError, match="factor shapes"):
+            product_fidelity(state, regs, coeffs, factors)
 
 
 @pytest.mark.parametrize("terms", [
-    [],
-    [(0.0, {"A1": "a"})],
-    [(0.5, {"A1": "b"}), (-0.5, {"A1": "b"})],
-    [(1.0, {"A1": (0.6, 0.8, 0.0)}), (-2.0, {"A1": (0.3, 0.4, 0.0)})],
+    ([], np.zeros((0, 3))),
+    ([0.0], [[1, 0, 0]]),  # A1 at a, with coefficient 0
+    ([0.5, -0.5], [[0, 1, 0], [0, 1, 0]]),  # A1 at b, cancelling
+    ([1.0, -2.0], [[0.6, 0.8, 0.0], [0.3, 0.4, 0.0]]),  # cancelling vectors
+    ([3.0, -1.0], [[0.1, 0.2, 0.0], [0.3, 0.6, 0.0]]),  # cancelling but for rounding
 ])
 def test_product_fidelity_zero_target(terms):
+    coeffs, factor = terms
     state = make_state([Register.lambda3("A1")], {"A1": "a"})
     with pytest.raises(RegisterError, match="zero vector"):
-        product_fidelity(state, (Register.lambda3("A1"),), terms)
+        product_fidelity(state, state.registers, coeffs, (np.array(factor, dtype=complex),))
 
 
 def test_reorder_preserves_physics():
@@ -418,6 +431,51 @@ def test_extend_is_kron(registers, new, seed, zeros, label_pick):
     assert bigger.registers == registers + (register,)
     assert np.array_equal(bigger.amplitudes, expected)
     assert bigger.amplitudes.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    registers=_registers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    terms=st.integers(1, 6),
+    squeeze=st.sets(st.integers(0, 4), max_size=3),
+    width=st.integers(1, 6),
+)
+def test_stacked_contraction_is_the_dense_overlap(registers, seed, terms, squeeze, width):
+    rng = np.random.default_rng(seed)
+    # an extra register, traced out, at a random place; the axes in squeeze
+    # held on random isometries of random width k
+    live = list(registers)
+    live.insert(int(rng.integers(len(live) + 1)), Register.qubit2("extra"))
+    bases = []
+    for i, reg in enumerate(live):
+        k = min(width + i % 2, reg.dim)
+        z = rng.normal(size=(reg.dim, k)) + 1j * rng.normal(size=(reg.dim, k))
+        bases.append(np.linalg.qr(z)[0] if i in squeeze else None)
+    shape = [reg.dim if q is None else q.shape[1] for reg, q in zip(live, bases)]
+    core = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    state = CompositeState(tuple(live), core / np.linalg.norm(core), bases)
+    # the target over the registers in a random order: each row a basis
+    # column or an unnormalized vector, some coefficients zero
+    targets = [registers[i] for i in rng.permutation(len(registers))]
+    coeffs = (rng.normal(size=terms) + 1j * rng.normal(size=terms)) * (rng.random(terms) > 0.3)
+    factors = []
+    for reg in targets:
+        rows = rng.normal(size=(terms, reg.dim)) + 1j * rng.normal(size=(terms, reg.dim))
+        for i in np.flatnonzero(rng.random(terms) < 0.5):
+            rows[i] = basis_column(reg, reg.labels[rng.integers(reg.dim)])
+        factors.append(rows)
+    if not coeffs.any():
+        with pytest.raises(RegisterError, match="zero vector"):
+            product_fidelity(state, targets, coeffs, factors)
+        return
+    target = sum(c * reduce(np.kron, rows) for c, *rows in zip(coeffs, *factors))
+    dense = reorder(state.dense(), [r.name for r in targets] + ["extra"])
+    overlaps = target.conj() @ dense.amplitudes.reshape(target.size, -1)
+    want = np.sum(np.abs(overlaps) ** 2) / np.vdot(target, target).real
+    assert product_fidelity(state, targets, coeffs, factors) == pytest.approx(want, abs=1e-12)
+    assert product_fidelity(state.dense(), targets, coeffs, factors) == pytest.approx(
+        want, abs=1e-12)
 
 
 def test_extend_appends_fastest_axis():

@@ -10,6 +10,7 @@ from slitport.fockspace import (
     Register,
     TruncationError,
     apply_op,
+    basis_column,
     compress,
     embed_controlled,
     label_branch,
@@ -463,8 +464,11 @@ def test_compressed_mode_matches_the_dense_state(phi, gt, dim, order, label, see
                           squeezed.bases[:axis] + squeezed.bases[axis + 1:])
     assert close(kept.dense().amplitudes, want) and abs(weight - want_weight) < 1e-12
 
-    terms = [(0.6, {"C": rng.normal(size=dim) + 1j * rng.normal(size=dim), "P": label, "A": "b"}),
-             (0.8j, {"C": top, "P": [0.6, 0, 0.8], "A": "c"})]
+    # two terms: (field vector, P at label, A at b) and (C at top, a P vector, A at c)
     targets = [registers[n] for n in ("C", "P", "A")]
-    assert abs(product_fidelity(squeezed, targets, terms)
-               - product_fidelity(state, targets, terms)) < 1e-12
+    factors = (np.array([rng.normal(size=dim) + 1j * rng.normal(size=dim),
+                         basis_column(registers["C"], top)]),
+               np.array([basis_column(registers["P"], label), [0.6, 0, 0.8]]),
+               np.array([basis_column(registers["A"], level) for level in "bc"]))
+    assert abs(product_fidelity(squeezed, targets, [0.6, 0.8j], factors)
+               - product_fidelity(state, targets, [0.6, 0.8j], factors)) < 1e-12

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slitport import protocol
+from slitport import oracle, protocol
 from slitport.fockspace import (
     CompositeState,
     Register,
+    basis_column,
     fidelity,
     make_state,
     product_fidelity,
@@ -159,9 +160,9 @@ def test_contracted_checkpoint_fidelity_matches_dense(z, alpha, seed):
     seen = []
     for name, state, compressed in _stage_states(params):
         seen.append(name)
-        registers, terms = checkpoint_terms(name, **params)
-        assert product_fidelity(compressed, registers, terms) == pytest.approx(
-            product_fidelity(state, registers, terms), abs=1e-12)
+        terms = checkpoint_terms(name, **params)
+        assert product_fidelity(compressed, *terms) == pytest.approx(
+            product_fidelity(state, *terms), abs=1e-12)
         expected = expected_state(name, **params)
         noise = rng.normal(size=state.dim) + 1j * rng.normal(size=state.dim)
         off = state.amplitudes + noise / np.linalg.norm(noise)
@@ -176,9 +177,46 @@ def test_contracted_checkpoint_fidelity_matches_dense(z, alpha, seed):
         )
         assert _dense_fidelity(perturbed, expected) < 0.9
         for candidate in (state, perturbed, mixed):
-            contracted = product_fidelity(candidate, registers, terms)
+            contracted = product_fidelity(candidate, *terms)
             assert contracted == pytest.approx(_dense_fidelity(candidate, expected), abs=1e-12)
     assert seen == list(CHECKPOINTS)
+
+
+def test_checkpoint_factor_cache_is_bounded():
+    # each checkpoint's factors are kept with the cached parts of its parameters
+    for alpha in np.linspace(1.0, 1.5, 40):
+        for name in CHECKPOINTS:
+            checkpoint_terms(name, **DEFAULTS | {"alpha": float(alpha), "truncation": 40})
+        info = oracle._parts.cache_info()
+        assert info.maxsize == 16 and info.currsize <= info.maxsize, info
+
+
+def test_checkpoint_factors_are_built_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(oracle, "basis_column", lambda *args: built.append(args) or
+                        basis_column(*args))
+    oracle._parts.cache_clear()
+    for cb, cc in ((0.6, 0.8j), (1, 0), (0, 1j)):
+        run = resolve(parse(REFERENCE_SCRIPT), {"cb": cb, "cc": cc})
+        protocol.run_protocol(run.instructions, run.inputs)
+        # one column per term and register, all built by the first resolve and run
+        terms = [checkpoint_terms(name, **vars(run.inputs)) for name in CHECKPOINTS]
+        first = sum(len(registers) * coeffs.size for registers, coeffs, _, _ in terms)
+        assert len(built) == (first if (cb, cc) == (0.6, 0.8j) else 0)
+        built.clear()
+
+
+def test_checkpoint_terms_stack_the_closed_form():
+    # the cached coefficient map and factors against the terms written out at one input
+    params = DEFAULTS | {"cb": 0.6, "cc": 0.8j}
+    parts = oracle._parts(params["alpha"], params["truncation"], params["gt"])
+    for name in CHECKPOINTS:
+        registers, coeffs, factors, gram = checkpoint_terms(name, **params)
+        terms = oracle._terms(name, 0.6, 0.8j, parts)
+        assert np.allclose(coeffs, [coeff for coeff, _ in terms], rtol=1e-15, atol=0)
+        for reg, factor in zip(registers, factors):
+            assert np.array_equal(factor, [basis_column(reg, term[reg.name]) for _, term in terms])
+        assert np.array_equal(gram, math.prod(f.conj() @ f.T for f in factors))
 
 
 def test_post_jc_closed_form_at_a_tiny_alpha():
