@@ -8,7 +8,7 @@ Amplitudes are stored flat in row-major register order, so the last
 register varies fastest.  Every module in the package relies on this one
 layout convention.  An axis may be held compressed (``compress``): its
 amplitudes are then the coordinates of a few orthonormal columns in the
-register's basis, and every read or gate on that register expands it first.
+register's basis, and the gates and reads of a run work on them directly.
 """
 
 from __future__ import annotations
@@ -275,28 +275,27 @@ def basis_column(register: Register, value) -> np.ndarray:
     return column
 
 
-def compress(state: CompositeState, register: str,
-             span: np.ndarray | None = None) -> CompositeState:
+def compress(state: CompositeState, register: str) -> CompositeState:
     """Hold one register's axis as an isometry Q and a core over Q's columns.
 
-    The SVD of the state matricized on that axis gives Q = U_r and the
-    core S_r V_r^H, keeping the r singular values above COMPRESSION_CUTOFF
-    times the largest.  Given ``span``, columns whose span holds the axis's
-    support, the SVD runs on the state's coordinates in an orthonormal
-    frame F of them (m x rest, the same singular values) and Q is F U_r.
+    The truncated SVD of the state matricized on that axis (``_truncate``)
+    gives Q = U_r and the core S_r V_r^H.  A gate recompresses a lone
+    compressed target from the core instead (``_gate_core``).
     """
     state = expand(state, [register])
     axis = state.axis(register)
     tens = np.moveaxis(state.tensor(), axis, 0)
-    matrix = tens.reshape(tens.shape[0], -1)
-    frame = None if span is None else np.linalg.qr(span)[0]
-    u, s, vh = np.linalg.svd(matrix if frame is None else frame.conj().T @ matrix,
-                             full_matrices=False)
-    rank = max(1, int(np.count_nonzero(s > COMPRESSION_CUTOFF * s[0])))
-    q = np.ascontiguousarray(u[:, :rank] if frame is None else frame @ u[:, :rank])
-    core = np.moveaxis((s[:rank, None] * vh[:rank]).reshape((rank,) + tens.shape[1:]), 0, axis)
-    bases = state.bases[:axis] + (q,) + state.bases[axis + 1:]
+    q, core = _truncate(tens.reshape(tens.shape[0], -1))
+    core = np.moveaxis(core.reshape((q.shape[1],) + tens.shape[1:]), 0, axis)
+    bases = state.bases[:axis] + (np.ascontiguousarray(q),) + state.bases[axis + 1:]
     return CompositeState(state.registers, core.reshape(-1), bases)
+
+
+def _truncate(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U_r and S_r V_r^H of matrix's SVD, r >= 1 values above COMPRESSION_CUTOFF times the top."""
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    rank = max(1, int(np.count_nonzero(s > COMPRESSION_CUTOFF * s[0])))
+    return u[:, :rank], s[:rank, None] * vh[:rank]
 
 
 def expand(state: CompositeState, registers) -> CompositeState:
@@ -326,22 +325,25 @@ def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator, targets,
     BlockOperator on (level, mode), applied block by block.  With
     ``control=(register name, label)`` it acts only on the slice where
     that register holds the label: the result of applying
-    ``embed_controlled`` of the operator, without building it.  Compressed
-    targets and control are expanded for the kernel and recompressed after,
-    a lone compressed target from the gate's image of its basis (``_image``).
+    ``embed_controlled`` of the operator, without building it.  When the
+    one compressed register the gate names is a target, the gate acts on
+    the core alone (``_gate_core``); any other compressed register it names
+    is expanded for the kernel and recompressed after.
     """
     if isinstance(op, BlockOperator) and len(targets) != 2:
         raise RegisterError(f"blocks target (level, mode), got {targets}")
     axes = [state.axis(name) for name in targets]
     if len(set(axes)) != len(axes):
         raise RegisterError(f"operator targets {targets} repeat a register")
-    named = list(targets) + ([control[0]] if control else [])
-    compressed = [name for name in named if state.bases[state.axis(name)] is not None]
+    c = None if control is None else state.axis(control[0])
+    if c in axes:
+        raise RegisterError(f"control register {control[0]} is also a target")
+    compressed = [state.registers[a].name for a in axes + [c]
+                  if a is not None and state.bases[a] is not None]
+    if len(compressed) == 1 and compressed[0] in targets:
+        return _gate_core(op, state, axes, list(targets).index(compressed[0]), c, control)
     if compressed:
         out = apply_op(expand(state, compressed), op, targets, control)
-        if len(compressed) == 1 and compressed[0] in targets:
-            pos = list(targets).index(compressed[0])
-            return compress(out, compressed[0], _image(op, state, axes, pos, control))
         for name in compressed:
             out = compress(out, name)
         return out
@@ -350,40 +352,56 @@ def apply_op(state: CompositeState, op: OperatorMatrix | BlockOperator, targets,
         out = np.empty_like(tens)
         _contract(op, tens, out, axes)
     else:
-        name, label = control
-        c = state.axis(name)
-        if c in axes:
-            raise RegisterError(f"control register {name} is also a target")
-        where = (slice(None),) * c + (state.registers[c].index(label),)
+        where = (slice(None),) * c + (state.registers[c].index(control[1]),)
         out = tens.copy()
         _contract(op, tens[where], out[where], [a - (a > c) for a in axes])
     return CompositeState(state.registers, out.reshape(-1), state.bases)
 
 
-def _image(op, state: CompositeState, axes: list[int], pos: int, control) -> np.ndarray | None:
-    """Columns spanning the support of compressed target axes[pos] after op, or None.
+def _gate_core(op, state: CompositeState, axes: list[int], pos: int, c: int | None,
+               control) -> CompositeState:
+    """apply_op where target axes[pos], basis Q (dim x k), is the one compressed register named.
 
-    op on I_other ⊗ Q gives G_ij Q for each block between labels j and i of
-    the other targets (d labels), less the zero columns of vanishing blocks; a
-    control adds Q, which op leaves on the other slices.  A QR and an SVD as
-    wide as these m <= (d² + 1)k columns replace one SVD of the state's
-    smaller side: None unless twice the bound is below it, or if none is left.
+    op on I_other ⊗ Q gives the image columns W: G_ij Q for each block
+    between labels j and i of the other targets (size labels), less the
+    zero columns of vanishing blocks, plus Q beside a control (axis c), which
+    op leaves on the control's other slices.  With W = F R (reduced QR, m <=
+    (size² + 1)k columns), R's blocks map the core to the state's
+    coordinates on F in one matmul, and the SVD of those m x rest
+    coordinates (``_truncate``) gives the new basis F U_r.
     """
     q = state.bases[axes[pos]]
     dim, k = q.shape
-    other = [state.registers[a].dim for a in axes[:pos] + axes[pos + 1:]]
+    shape = state.shape
+    others = axes[:pos] + axes[pos + 1:]
+    other = [shape[a] for a in others]
     size = math.prod(other)
-    if 2 * (size * size + (control is not None)) * k >= min(dim, state.amplitudes.size // k):
-        return None
     src = np.multiply.outer(np.eye(size).reshape(other + [size]), q)
-    src_axes = list(range(len(other)))
-    src_axes.insert(pos, len(other) + 1)
     dst = np.empty_like(src)
-    _contract(op, src, dst, src_axes)
-    columns = dst.reshape(size * size, dim, k).transpose(1, 0, 2).reshape(dim, -1)
-    columns = columns[:, columns.any(axis=0)]
-    columns = np.hstack([columns, q]) if control else columns
-    return columns if columns.size else None
+    _contract(op, src, dst, [*range(pos), len(other) + 1, *range(pos, len(other))])
+    # column (i, j, a): op's block between labels j and i on Q's column a
+    image = dst.reshape(size * size, dim, k).transpose(1, 0, 2).reshape(dim, -1)
+    image = image if c is None else np.hstack([image, q])
+    keep = image.any(axis=0)
+    keep |= not keep.any()  # a zero image still needs a frame for the zero state
+    frame, kept = np.linalg.qr(image[:, keep])
+    r = np.zeros((len(kept), image.shape[1]), dtype=complex)
+    r[:, keep] = kept
+    # (b, i, a, j): F's column b at label i from Q's column a at label j
+    blocks, lead = [r[:, :size * size * k].reshape(-1, size, size, k).transpose(0, 1, 3, 2)], []
+    if c is not None:
+        ident = np.einsum("ba,ij->biaj", r[:, -k:], np.eye(size))  # F^H Q, off the label
+        index = state.registers[c].index(control[1])
+        blocks, lead = [blocks[0] if i == index else ident for i in range(shape[c])], [c]
+    # one block per control label on the diagonal: rows (b, label, i), columns (a, label, j)
+    n = len(blocks) * size
+    gate = np.einsum("lbiaj,lo->bliaoj", blocks, np.eye(len(blocks))).reshape(-1, k * n)
+    order = [axes[pos]] + lead + others + [a for a in range(len(shape)) if a not in axes + lead]
+    coords = gate @ state.tensor().transpose(order).reshape(k * n, -1)
+    u, core = _truncate(coords.reshape(len(r), -1))
+    core = core.reshape([u.shape[1]] + [shape[a] for a in order[1:]]).transpose(np.argsort(order))
+    bases = state.bases[:axes[pos]] + (frame @ u,) + state.bases[axes[pos] + 1:]
+    return CompositeState(state.registers, core.reshape(-1), bases)
 
 
 def _contract(op, src: np.ndarray, dst: np.ndarray, axes: list[int]) -> None:
@@ -474,12 +492,14 @@ def collapse(state: CompositeState, register: str, label: str) -> tuple[Composit
 def label_branch(state: CompositeState, register: str, label: str) -> tuple[np.ndarray, float]:
     """One label's slice of the state, as a fresh flat array, and its squared norm.
 
-    The slice is a core over the state's other axes, with their bases.
+    The slice is a core over the state's other axes, with their bases.  On
+    a compressed register it is the row of Q at the label times the core.
     """
-    state = expand(state, [register])
     axis = state.axis(register)
     index = state.registers[axis].index(label)
-    branch = np.take(state.tensor(), index, axis=axis).reshape(-1)
+    q = state.bases[axis]
+    branch = (np.take(state.tensor(), index, axis=axis) if q is None
+              else np.tensordot(q[index], state.tensor(), axes=(0, axis))).reshape(-1)
     return branch, float(np.sum(np.abs(branch) ** 2))
 
 

@@ -30,7 +30,6 @@ from .fockspace import (
     TruncationError,
     apply_op,
     collapse,
-    compress,
     drop_register,  # noqa: F401  (perfbench patches it by this module's name)
     embed_controlled,  # noqa: F401  (perfbench patches it by this module's name)
     extend,
@@ -438,8 +437,9 @@ class _Runner:
             tail = coherent_tail_mass(ins.alpha, ins.truncation)
             for lane in self.lanes:
                 lane.tail_mass = max(lane.tail_mass, tail)
-            self.state = compress(extend(self.state, Register.mode(ins.name, ins.truncation), vec),
-                                  ins.name)
+            mode = Register.mode(ins.name, ins.truncation)  # basis: the coherent vector itself
+            self.state = CompositeState(self.state.registers + (mode,), self.state.amplitudes,
+                                        self.state.bases + (vec[:, None],))
         elif isinstance(ins, DeclareAtom):
             self._declare_atom(ins)
         elif isinstance(ins, Split):

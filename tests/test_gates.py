@@ -403,11 +403,17 @@ def test_a_gate_that_annihilates_a_compressed_mode_leaves_the_zero_state():
     rank=st.integers(1, 3),
     squeeze_path=st.booleans(),
 )
-# modes wide enough that every gate recompresses from its image of the basis
+# wide modes: each gate's frame of its image of the basis is narrower than T
 @example(phi=2.0, gt=0.7, dim=24, order=["A", "P", "C", "S", "Q"], label="s2", seed=5, rank=1,
          squeeze_path=False)
 @example(phi=-1.1, gt=1.3, dim=48, order=["C", "S", "A", "P", "Q"], label="s3", seed=9, rank=2,
          squeeze_path=False)
+# an image wider than T: the reduced QR caps the frame at T columns
+@example(phi=0.9, gt=1.7, dim=3, order=["Q", "S", "C", "P", "A"], label="s1", seed=11, rank=2,
+         squeeze_path=False)
+# a compressed control: the controlled gates expand and recompress both registers
+@example(phi=2.6, gt=0.4, dim=12, order=["C", "P", "A", "S", "Q"], label="s3", seed=13, rank=2,
+         squeeze_path=True)
 def test_compressed_mode_matches_the_dense_state(phi, gt, dim, order, label, seed, rank,
                                                  squeeze_path):
     registers = {
@@ -458,11 +464,12 @@ def test_compressed_mode_matches_the_dense_state(phi, gt, dim, order, label, see
     for name in ("C", "P", "A"):
         assert close(label_probabilities(squeezed, name), label_probabilities(state, name))
     top = str(dim - 1)
-    branch, weight = label_branch(squeezed, "C", top)
-    want, want_weight = label_branch(state, "C", top)
-    kept = CompositeState(regs[:axis] + regs[axis + 1:], branch,
-                          squeezed.bases[:axis] + squeezed.bases[axis + 1:])
-    assert close(kept.dense().amplitudes, want) and abs(weight - want_weight) < 1e-12
+    for fock in (top, str(rng.integers(dim))):
+        branch, weight = label_branch(squeezed, "C", fock)
+        want, want_weight = label_branch(state, "C", fock)
+        kept = CompositeState(regs[:axis] + regs[axis + 1:], branch,
+                              squeezed.bases[:axis] + squeezed.bases[axis + 1:])
+        assert close(kept.dense().amplitudes, want) and abs(weight - want_weight) < 1e-12
 
     # two terms: (field vector, P at label, A at b) and (C at top, a P vector, A at c)
     targets = [registers[n] for n in ("C", "P", "A")]

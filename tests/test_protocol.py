@@ -18,7 +18,6 @@ from slitport.fockspace import (
     RegisterError,
     TruncationError,
     collapse,
-    compress,
     extend,
     fidelity,
     make_state,
@@ -375,8 +374,8 @@ def test_runner_register_errors(instructions, message):
 
 def test_cavity_pass_frees_its_input_state():
     # in units of the state's dense size: the runner holds the pass's input
-    # until the pass returns, and a compressed pass expands only the mode it
-    # touches, so the input and the pass's peak together stay below one dense copy
+    # until the pass returns, and a pass gates a compressed mode on its core,
+    # so the input and the pass's peak together stay below one dense copy
     run = reference_run()
     runner = _Runner([run.inputs], sample=False, seed=None)
     copies = []
@@ -540,15 +539,16 @@ def _dense_step(state, ins, inputs):
                                     {"alpha": 5, "truncation": 201}])
 def test_compressed_state_matches_the_dense_engine_after_every_step(params, monkeypatch):
     dropped = []
+    truncate = fockspace._truncate
 
-    def recording(state, register, span=None):
-        # the squared distance a truncated SVD moves the state is the weight it drops
-        out = compress(state, register, span)
-        dropped.append(np.linalg.norm(state.dense().amplitudes - out.dense().amplitudes) ** 2)
-        return out
+    def recording(matrix):
+        # the matrix holds the state's coordinates on orthonormal columns, so
+        # the squared distance the truncated SVD moves it is the weight it drops
+        u, core = truncate(matrix)
+        dropped.append(np.linalg.norm(matrix - u @ core) ** 2)
+        return u, core
 
-    monkeypatch.setattr(fockspace, "compress", recording)
-    monkeypatch.setattr(protocol, "compress", recording)
+    monkeypatch.setattr(fockspace, "_truncate", recording)
     run = reference_run(**params)
     runner = _Runner([run.inputs], sample=False, seed=None)
     dense = CompositeState((), np.ones(1, dtype=complex))
@@ -561,22 +561,34 @@ def test_compressed_state_matches_the_dense_engine_after_every_step(params, monk
         assert np.max(np.abs(have.amplitudes - dense.amplitudes)) < 1e-12, ins.text
         modes = [q for r, q in zip(runner.state.registers, runner.state.bases) if r.kind == "mode"]
         assert all(q is not None and q.shape[1] <= 3 for q in modes), ins.text
-    assert len(dropped) == 14 and sum(dropped) <= 1e-24, dropped
+    # one truncation per gate: a declaration takes none
+    assert len(dropped) == 12 and sum(dropped) <= 1e-24, dropped
     _assert_batch_matches_single_runs(run, [run.inputs, RunInputs(**params | {"cb": R, "cc": -R})])
+
+
+def _record_core_gates(monkeypatch) -> list:
+    """Patch fockspace so that each core-path gate appends (other targets' size, k,
+    controlled) to the returned list; the dense recompression path fails the test."""
+    gates = []
+    gate_core = fockspace._gate_core
+
+    def recording(op, state, axes, pos, c, control):
+        size = math.prod(state.registers[a].dim for a in axes) // state.registers[axes[pos]].dim
+        gates.append((size, state.bases[axes[pos]].shape[1], c is not None))
+        return gate_core(op, state, axes, pos, c, control)
+
+    def refused(state, register):
+        raise AssertionError(f"a run-path gate recompressed {register} from the dense state")
+
+    monkeypatch.setattr(fockspace, "_gate_core", recording)
+    monkeypatch.setattr(fockspace, "compress", refused)
+    return gates
 
 
 def test_generic_phi_grows_modes_past_three_columns(monkeypatch):
     # away from phi = pi the fields are no cats of +-alpha: both modes reach
-    # k = 8, and gates recompress them from the image of the basis where it is
-    # narrow and by the plain SVD of the state where it is not
-    from_image = []
-
-    def recording(state, register, span=None):
-        from_image.append(span is not None)
-        return compress(state, register, span)
-
-    monkeypatch.setattr(fockspace, "compress", recording)
-    monkeypatch.setattr(protocol, "compress", recording)
+    # k = 8, and every gate still recompresses its mode from the core alone
+    gates = _record_core_gates(monkeypatch)
     run = resolve(parse(REFERENCE_SCRIPT.replace("phi pi", "phi 3.1")), {"cb": 0.6, "cc": 0.8j})
     runner = _Runner([run.inputs], sample=False, seed=None)
     dense = CompositeState((), np.ones(1, dtype=complex))
@@ -589,16 +601,16 @@ def test_generic_phi_grows_modes_past_three_columns(monkeypatch):
         assert np.max(np.abs(have.amplitudes - dense.amplitudes)) < 1e-12, ins.text
         ranks += [q.shape[1] for q in runner.state.bases if q is not None]
     assert max(ranks) > 3, ranks
-    # the first two are the declarations
-    assert True in from_image and False in from_image[2:], from_image
+    assert len(gates) == 12 and max(k for _, k, _ in gates) > 3, gates
     _assert_batch_matches_single_runs(run, [run.inputs, RunInputs(cb=R, cc=-R)])
 
 
 @pytest.mark.parametrize("params", [{}, {"alpha": 5, "truncation": 201}])
 def test_gate_recompressions_factor_narrow_matrices(params, monkeypatch):
-    # a recompression after a gate factors the state's coordinates on the
-    # gate's image of the old basis, or the state itself where that is narrow:
-    # never a T x rest matrix with both sides large (64 x 96 before)
+    # a gate's one SVD factors the state's coordinates on an orthonormal frame
+    # of its image of the mode's basis: at most (d² + 1)k rows for d labels of
+    # the other targets and a control, and no side as long as the cutoff T
+    gates = _record_core_gates(monkeypatch)
     shapes = []
     svd = np.linalg.svd
 
@@ -611,7 +623,36 @@ def test_gate_recompressions_factor_narrow_matrices(params, monkeypatch):
     inputs = [RunInputs(**params | {"cb": cb, "cc": math.sqrt(1 - cb * cb)})
               for cb in (-0.3, 0.5, 0.9)]
     assert not any(isinstance(report, ProtocolError) for report in run_batch(run.instructions, inputs))
-    assert len(shapes) == 14 and max(min(shape) for shape in shapes) <= 30, shapes
+    cutoff = run.inputs.truncation
+    assert len(shapes) == 12 and len(gates) == 12, (shapes, gates)
+    for (rows, cols), (d, k, controlled) in zip(shapes, gates):
+        assert rows <= (d * d + controlled) * k and cutoff not in (rows, cols), (shapes, gates)
+
+
+def test_run_path_never_expands_a_mode(monkeypatch):
+    # every gate and read of a run works on a compressed mode's core: no step
+    # asks for a mode back in its Fock basis
+    expanded = []
+    expand = fockspace.expand
+
+    def recording(state, registers):
+        expanded.extend(name for name in registers if state.bases[state.axis(name)] is not None)
+        return expand(state, registers)
+
+    monkeypatch.setattr(fockspace, "expand", recording)
+    runs = [reference_run(), reference_run(alpha=5, truncation=201),
+            resolve(parse(REFERENCE_SCRIPT.replace("phi pi", "phi 3.1")), {})]
+    for run in runs:
+        run_protocol(run.instructions, run.inputs)
+    plain = "".join(line + "\n" for line in REFERENCE_SCRIPT.splitlines()
+                    if not line.startswith("checkpoint"))
+    run = resolve(parse(plain), {})
+    report = run_protocol(run.instructions, run.inputs, sample=True, seed=5)
+    assert not any(step.kind == "checkpoint" for step in report.steps)
+    reports = run_batch(runs[0].instructions, [RunInputs(cb=cb, cc=math.sqrt(1 - cb * cb))
+                                               for cb in (-0.3, 0.5, 0.9)])
+    assert not any(isinstance(report, ProtocolError) for report in reports)
+    assert expanded == []
 
 
 def test_probe_detection_probabilities_in_unit_interval():
