@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 from . import protocol, script
@@ -77,6 +78,7 @@ def _add_threshold_flag(parser: argparse.ArgumentParser) -> None:
                         help="exit nonzero when the final fidelity falls below this")
 
 
+@lru_cache(maxsize=1)  # built by main's first call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="slitport", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -220,23 +222,17 @@ def _sweep(values: list[float | complex], args: argparse.Namespace) -> list[dict
     entries = [{"value": v, "final_fidelity": None, "cumulative_probability": None,
                 "error": None} for v in values]
     parsed = script.parse(REFERENCE_SCRIPT)
-    # the script reads cb and cc only as the input amplitudes: the rest key a lowering
-    lowered = {}
     runs = {}  # entry index -> (its instructions without checkpoints, its inputs)
     for index, value in enumerate(values):
         try:
-            overrides = _sweep_overrides(args.param, value, args)
-            inputs = script.resolve_inputs(parsed, overrides)
-            key = frozenset(item for item in overrides.items() if item[0] not in ("cb", "cc"))
-            if key not in lowered:
-                # an entry prints no checkpoint score, and a checkpoint changes no
-                # state and draws no random number: the runs skip them
-                lowered[key] = [ins for ins in script.resolve(parsed, overrides).instructions
-                                if not isinstance(ins, protocol.Checkpoint)]
+            run = script.resolve(parsed, _sweep_overrides(args.param, value, args))
         except ValueError as exc:
             _settle(entries[index], exc)
             continue
-        runs[index] = (lowered[key], inputs)
+        # an entry prints no checkpoint score, and a checkpoint changes no
+        # state and draws no random number: the runs skip them
+        steps = [ins for ins in run.instructions if not isinstance(ins, protocol.Checkpoint)]
+        runs[index] = (steps, run.inputs)
     if args.param == "cb" and not args.sample and runs:
         first, _ = next(iter(runs.values()))
         outcomes = run_batch(first, [inputs for _, inputs in runs.values()])

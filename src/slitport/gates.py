@@ -41,6 +41,7 @@ def coherent_tail_mass(alpha: complex, truncation: int) -> float:
     return max(0.0, 1.0 - float(weights.sum()))
 
 
+@lru_cache(maxsize=16)
 def _coherent_raw(alpha: complex, truncation: int) -> np.ndarray:
     if truncation < 1:
         raise TruncationError("truncation must be at least 1")
@@ -49,6 +50,7 @@ def _coherent_raw(alpha: complex, truncation: int) -> np.ndarray:
     c[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, truncation):
         c[n] = c[n - 1] * alpha / math.sqrt(n)
+    c.setflags(write=False)  # the cache hands it to every caller
     return c
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -216,7 +216,7 @@ class RunReport:
     inputs: RunInputs
 
     def to_json(self) -> str:
-        return canonical_json(asdict(self))
+        return canonical_json(self)
 
 
 def canonical_json(value, indent: int = 0) -> str:
@@ -246,6 +246,8 @@ def canonical_json(value, indent: int = 0) -> str:
         return json.dumps(fmt_complex(value))
     if isinstance(value, str):
         return json.dumps(value)
+    if is_dataclass(value) and not isinstance(value, type):  # as asdict has it, uncopied
+        return canonical_json({f.name: getattr(value, f.name) for f in fields(value)}, indent)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

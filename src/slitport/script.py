@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 from . import protocol
 from .fockspace import ATOM_LEVELS, Register
@@ -249,6 +250,7 @@ def parse_lenient(text: str) -> tuple[ProtocolScript, list[tuple[int, str]]]:
     return ProtocolScript(tuple(commands)), errors
 
 
+@lru_cache(maxsize=16)
 def parse(text: str) -> ProtocolScript:
     """Parse script text; raises ScriptError listing every malformed line."""
     parsed, errors = parse_lenient(text)
@@ -565,7 +567,15 @@ def _describe(register: Register) -> str:
     return f"{register.kind} ({labels})"
 
 
+@lru_cache(maxsize=16)
+def _lowering(script: ProtocolScript, inputs: protocol.RunInputs) -> tuple:
+    return _Validator(script, inputs).run().instructions
+
+
 def resolve(script: ProtocolScript, overrides: dict | None = None) -> ResolvedRun:
-    """Validate and lower a parsed script against effective run parameters."""
+    """Validate and lower a parsed script, caching a lowering by the parameters it reads."""
     inputs = resolve_inputs(script, overrides)
-    return _Validator(script, inputs).run()
+    reads = any(isinstance(arg, ParamRef) and arg.name in ("cb", "cc")
+                for cmd in script.commands for arg in cmd.args)
+    key = inputs if reads else replace(inputs, cb=1.0, cc=0.0)
+    return ResolvedRun(_lowering(script, key), inputs)

@@ -234,18 +234,24 @@ def test_a_sweep_entry_equals_the_full_run(capsys, tmp_path, param, value, flags
         assert entry[key] == report[key]
 
 
-@pytest.mark.parametrize("argv, resolves", [
+@pytest.mark.parametrize("argvs, lowerings", [
     # cb and cc reach only the input amplitudes: every cb value shares one lowering
-    (["--param", "cb", "--values=0.6,0.8,-0.3"], 1),
-    (["--param", "alpha", "--values", "1,2"], 2),
+    ([["sweep", "--param", "cb", "--values=0.6,0.8,-0.3"]], 1),
+    ([["sweep", "--param", "alpha", "--values", "1,2"]], 2),
+    # and so does each paper call with its own pair
+    ([["paper", "--cb", cb, "--cc", cc]
+      for cb, cc in (("0.6", "0.8"), ("1", "0"), ("0", "1i"))], 1),
 ])
-def test_sweep_lowers_the_script_once_per_lowering_it_needs(capsys, monkeypatch, argv, resolves):
+def test_the_script_is_lowered_once_per_lowering_it_needs(capsys, monkeypatch, argvs, lowerings):
     calls = []
-    resolve = slitport.script.resolve
-    monkeypatch.setattr(slitport.script, "resolve", lambda *a: calls.append(a) or resolve(*a))
-    assert main(["sweep", *argv]) == 0
+    run = slitport.script._Validator.run
+    monkeypatch.setattr(slitport.script._Validator, "run",
+                        lambda self: calls.append(self) or run(self))
+    slitport.script._lowering.cache_clear()
+    for argv in argvs:
+        assert main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == resolves
+    assert len(calls) == lowerings
 
 
 def test_sweep_empty_values(capsys):
@@ -513,3 +519,65 @@ def test_a_state_past_the_budget_is_refused_before_a_run(capsys, tmp_path):
     assert wide["error"] == (f"line {line}: the state would hold 16160408040001 amplitudes, "
                              "above the budget of 67108864")
     assert two["error"] is None
+
+
+# --- what one process reuses from call to call ---
+
+
+def test_a_rewritten_script_file_runs_its_new_text(capsys, tmp_path):
+    path, out = tmp_path / "script.qprot", tmp_path / "report.json"
+    checkpoints = []
+    for text in (REFERENCE_SCRIPT, REFERENCE_SCRIPT.replace("checkpoint", "# checkpoint")):
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path), "--json", str(out)]) == 0
+        steps = json.loads(out.read_text())["steps"]
+        checkpoints.append(sum(step["kind"] == "checkpoint" for step in steps))
+    capsys.readouterr()
+    assert checkpoints == [17, 0]
+
+
+@pytest.mark.parametrize("text, code", [
+    ("cavity C1 alpha x\nwarp\n", 2),  # a parse error
+    (REFERENCE_SCRIPT.replace("checkpoint FINAL", "checkpoint NOPE"), 2),  # a lowering error
+    (REFERENCE_SCRIPT.replace("kernel SC2 [1 0; 0 0]", "kernel SC2 [0 0; 0 0]"), 3),
+])
+def test_a_bad_script_fails_alike_every_time(capsys, tmp_path, text, code):
+    path = tmp_path / "bad.qprot"
+    path.write_text(text, encoding="utf-8")
+    outputs = []
+    for _ in range(2):
+        assert main(["run", str(path)]) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err and outputs[0] == outputs[1]
+
+
+def _fresh_report(argv: list[str], path: Path) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "slitport.cli", *argv, "--json", str(path)],
+                   check=True, capture_output=True, env=env, timeout=120)
+    return path.read_bytes()
+
+
+def test_reports_after_other_calls_equal_fresh_ones(capsys, tmp_path):
+    argvs = {"2": ["paper"], "3": ["paper", "--alpha", "3", "--truncation", "97"]}
+    fresh = {alpha: _fresh_report(argv, tmp_path / f"fresh-{alpha}.json")
+             for alpha, argv in argvs.items()}
+    out = tmp_path / "report.json"
+    for alpha in ("2", "3", "2"):
+        assert main([*argvs[alpha], "--json", str(out)]) == 0
+        assert out.read_bytes() == fresh[alpha], alpha
+    capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = """import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+from slitport import cli
+assert not built and cli.build_parser.cache_info().currsize == 0, built
+assert cli.main(["check", "scenarios/paper.qprot"]) == 0
+assert built and cli.build_parser.cache_info().currsize == 1
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=ROOT, env=env, timeout=120)

@@ -37,7 +37,9 @@ from slitport.protocol import (
     Propagate,
     ProtocolError,
     RunInputs,
+    RunReport,
     Split,
+    StepRecord,
     _Runner,
     canonical_json,
     conditional_cavity_pass,
@@ -877,3 +879,31 @@ def test_batch_needs_shared_field_parameters():
 ])
 def test_rarely_reached_branch(call, expected):
     assert outcome(call) == expected
+
+
+def _report_of(run: ResolvedRun) -> RunReport:
+    """A run's report, or the partial report of the error that ended it."""
+    try:
+        return run_protocol(run.instructions, run.inputs)
+    except ProtocolError as exc:
+        return exc.report
+
+
+_OPTIONAL_REAL = st.none() | st.floats()
+_STEP_RECORDS = st.builds(StepRecord, name=st.text(), kind=st.text(),
+                          outcome=st.none() | st.text(), probability=_OPTIONAL_REAL,
+                          checkpoint_fidelity=_OPTIONAL_REAL)
+_INPUTS = _PAIRS.map(lambda pairs: RunInputs(cb=pairs[0][0], cc=pairs[0][1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(report=st.one_of(
+    st.builds(RunReport, steps=st.lists(_STEP_RECORDS, max_size=4).map(tuple),
+              cumulative_probability=st.floats(), final_fidelity=_OPTIONAL_REAL,
+              truncation_tail_mass=st.floats(), inputs=_INPUTS),
+    # a full run, and at gt 0 the partial report of an impossible detection
+    st.tuples(_INPUTS, st.sampled_from([math.pi / 8, 0.0])).map(
+        lambda args: _report_of(reference_run(cb=args[0].cb, cc=args[0].cc, gt=args[1]))),
+))
+def test_reports_serialize_as_their_field_dicts(report):
+    assert canonical_json(report) == canonical_json(asdict(report)) == report.to_json()

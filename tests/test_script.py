@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from test_fockspace import outcome
 
+from slitport import script as script_module
 from slitport.fockspace import ATOM_LEVELS
 from slitport.numformat import fmt_complex, fmt_real, parse_complex
 from slitport.protocol import CavityPass, DeclareCavity
@@ -760,3 +761,39 @@ def test_overflowing_amplitude_reach_is_reported_at_the_cavity_line(text, error)
     with pytest.raises(ScriptError) as err:
         resolve(parse(text))
     assert err.value.errors == [error]
+
+
+# --- cached parses and lowerings ---
+
+
+def test_a_cached_lowering_reads_the_amplitudes_its_slots_name():
+    # the script reads cb in a slot, so each cb keys its own lowering
+    parsed = parse(_PASS_AT_S + "pass A S phi $cb")
+    for cb in (0.6, 0.3):
+        run = resolve(parsed, {"cb": cb, "cc": math.sqrt(1 - cb * cb)})
+        assert run.instructions[-1].phi == cb
+        assert run.inputs.cb == cb
+
+
+def test_a_lowering_serves_every_input_pair_of_a_script_that_reads_none():
+    parsed = parse(REFERENCE_SCRIPT)
+    first, second = (resolve(parsed, {"cb": cb, "cc": cc}) for cb, cc in ((0.6, 0.8j), (1, 0)))
+    assert first.instructions is second.instructions
+    assert (first.inputs.cb, second.inputs.cb, second.inputs.cc) == (0.6, 1, 0)
+
+
+def test_parse_returns_the_script_it_parsed_before():
+    assert parse(REFERENCE_SCRIPT) is parse(REFERENCE_SCRIPT)
+    # a bad text is parsed, and fails, every time
+    for _ in range(2):
+        with pytest.raises(ScriptError) as err:
+            parse("cavity C1 alpha x")
+        assert err.value.errors == [(1, "not a number: 'x'")]
+
+
+def test_lowering_cache_is_bounded():
+    parsed = parse(REFERENCE_SCRIPT)
+    for alpha in np.linspace(1.0, 1.5, 40):
+        resolve(parsed, {"alpha": float(alpha)})
+        info = script_module._lowering.cache_info()
+        assert info.maxsize == 16 and info.currsize <= info.maxsize, info
